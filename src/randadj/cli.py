@@ -37,33 +37,18 @@ from .dgp import (
     DegenerateResidualError,
     gen_base_tables,
 )
-from .estimators import (
-    ArmSingularError,
-    ObservedData,
-    debias_correction,
-    lin_fit,
-    tau_adj,
-    tau_lin,
-    tau_lin_db,
-    tau_unadj,
-)
+from .estimators import ArmSingularError, ObservedData
 from .harness import (
     ESTIMATORS,
+    VARIANCE_PAIRING,
     exact_checks,
+    replicate_estimates,
     results_to_csv,
     results_to_json,
     run_factorial,
     statistical_checks,
 )
-from .inference import (
-    LeverageOneError,
-    estimate_variance,
-    hc3_variance,
-    necessary_bound,
-    neyman_variance_unadj,
-    rl2_curve,
-    wald_ci,
-)
+from .inference import LeverageOneError, necessary_bound, rl2_curve, wald_ci
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -200,6 +185,8 @@ def _resolve_out_dir(flag_value: str | None) -> str:
 
 
 def cmd_simulate(args) -> int:
+    if args.threads < 1:
+        raise ConfigError("--threads must be at least 1")
     cfg = load_config(args.config, args.full, {
         "reps": args.reps, "seed": args.seed,
     })
@@ -249,11 +236,15 @@ def _read_observed_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ConfigError(
             f"bad header: expected {','.join(expected[:4])},... got {','.join(header[:4])},...")
     try:
-        data = np.array([[float(v) for v in row] for row in rows], dtype=float)
+        data = np.array(rows, dtype=float)
     except ValueError as err:
         raise ConfigError(f"non-numeric cell in input: {err}") from err
     if data.ndim != 2 or data.shape[0] < 4 or data.shape[1] != p + 2:
         raise ConfigError("input needs at least 4 complete rows")
+    bad = ~np.isfinite(data)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ConfigError(f"non-finite value in column {header[col]}, data row {row + 1}")
     y = data[:, 0]
     zcol = data[:, 1]
     if not np.all((zcol == 0.0) | (zcol == 1.0)):
@@ -265,45 +256,34 @@ def _read_observed_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def cmd_analyze(args) -> int:
+    level = args.level
+    if not 0.0 < level < 1.0:
+        raise ConfigError("--level must lie in (0, 1)")
     y, z, x = _read_observed_csv(args.input)
     n = y.shape[0]
     hat = build_hat_structure(x)
     asg = Assignment(z=z, n=n, n1=int(z.sum()))
-    data = ObservedData(y=y, assignment=asg, x=x, hat=hat)
-    level = args.level
+    points, variances, na = replicate_estimates(ObservedData(y=y, assignment=asg, x=x, hat=hat))
 
+    # a row carries `na` when its point is undefined, and `ci_na` when the
+    # point is defined but its paired variance is not
     report = []
-    adj = tau_adj(data)
-    points = {"unadj": tau_unadj(data), "hd_undb": adj,
-              "hd": adj + debias_correction(data)}
-    variances = {"unadj": neyman_variance_unadj(data)}
-    variances["hd"] = variances["hd_undb"] = estimate_variance(data).combined
-    na: dict[str, str] = {}
-    try:
-        fit = lin_fit(data)
-        points["lin"] = tau_lin(data, fit)
-        points["lin_db"] = tau_lin_db(data, fit)
-        variances["lin"] = variances["lin_db"] = hc3_variance(data, fit)
-    except (ArmSingularError, LeverageOneError) as err:
-        na["lin"] = na["lin_db"] = str(err)
-
     for e in ESTIMATORS:
-        if e in na:
+        vname = VARIANCE_PAIRING[e]
+        if e not in points:
             report.append({"estimator": e, "na": na[e]})
-            continue
-        lo, hi = wald_ci(points[e], variances[e], n, level)
-        report.append({
-            "estimator": e,
-            "point": points[e],
-            "variance": variances[e],
-            "ci_low": lo,
-            "ci_high": hi,
-            "level": level,
-        })
+        elif vname not in variances:
+            report.append({"estimator": e, "point": points[e], "ci_na": na[vname]})
+        else:
+            lo, hi = wald_ci(points[e], variances[vname], n, level)
+            report.append({"estimator": e, "point": points[e], "variance": variances[vname],
+                           "ci_low": lo, "ci_high": hi, "level": level})
 
     for row in report:
         if "na" in row:
             print(f"{row['estimator']:>8}:  NA ({row['na']})")
+        elif "ci_na" in row:
+            print(f"{row['estimator']:>8}: {row['point']: .6g}  interval NA ({row['ci_na']})")
         else:
             print(f"{row['estimator']:>8}: {row['point']: .6g}  "
                   f"[{row['ci_low']: .6g}, {row['ci_high']: .6g}]")

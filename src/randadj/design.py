@@ -2,12 +2,19 @@
 
 The hat matrix of a centered covariate matrix drives everything downstream:
 leverage-based debiasing, the quadratic variance component, and the
-matrices M and B that appear in the linear variance component.
+matrix B that appears in the linear variance component.
 
     H_ij = (n-1)^-1 (X_i - Xbar)' S_X^-2 (X_j - Xbar)
     Q    = H.^2 off the diagonal, Q_ii = H_ii - H_ii^2
-    M    = P - H + P diag{H},  P = I - 11'/n
-    B    = M'M
+    B    = M'M for the debiased-residual map M = P - H + P D,
+           with P = I - 11'/n and D = diag{H}
+
+Because PH = HP = H and H^2 = H, B has the closed form
+
+    B = (I+D) P (I+D) - (I+D) H - H (I+D) + H,
+    B_ij = (1 + D_i) (1 + D_j) (delta_ij - 1/n) - (1 + D_i + D_j) H_ij,
+
+so it is built in O(n^2) without forming M.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ class HatStructure:
     h : hat matrix (projection onto the centered column span), n x n
     leverages : diag(h)
     q : leverage interaction matrix Q
-    m, b : debiased-residual map M and its Gram B = M'M
+    b : Gram B = M'M of the debiased-residual map M, from its closed form
     alpha : covariate dimension ratio p/n
     """
 
@@ -70,7 +77,6 @@ class HatStructure:
     h: np.ndarray
     leverages: np.ndarray
     q: np.ndarray
-    m: np.ndarray
     b: np.ndarray
     alpha: float
     n: int
@@ -118,14 +124,19 @@ def build_hat_structure(X) -> HatStructure:
     q = h * h
     np.fill_diagonal(q, lev - lev**2)
 
-    # P diag{H} has columns lev_j * (e_j - 1/n); P itself is I - 11'/n
-    pmat = np.eye(n) - np.full((n, n), 1.0 / n)
-    m = pmat - h + pmat * lev[np.newaxis, :]
-    b = m.T @ m
-    b = (b + b.T) / 2.0
+    # B's elementwise closed form, with g = 1 + D; each term is formed
+    # symmetrically, so b is exactly symmetric like h
+    g = 1.0 + lev
+    b = np.add.outer(lev, lev)
+    b += 1.0
+    b *= h
+    gs = g / math.sqrt(n)
+    b += np.outer(gs, gs)
+    np.negative(b, out=b)
+    b.flat[:: n + 1] += g * g
 
     return HatStructure(
-        x_mean=x_mean, xc=xc, h=h, leverages=lev, q=q, m=m, b=b,
+        x_mean=x_mean, xc=xc, h=h, leverages=lev, q=q, b=b,
         alpha=p / n, n=n, p=p, gram_chol=chol,
     )
 

@@ -439,10 +439,11 @@ def hat_invariant_checks(hat, atol: float = 1e-10) -> list[CheckOutcome]:
     np.fill_diagonal(q_expect, lev - lev**2)
     add("q-definition", float(np.abs(hat.q - q_expect).max()))
     add("q-rowsum", float(np.abs(hat.q.sum(axis=1) - 2 * lev * (1 - lev)).max()))
+    # B is built from its closed form; compare it with M'M for the map
+    # M = P - H + P diag{H} itself
     pmat = np.eye(n) - np.full((n, n), 1.0 / n)
-    m_expect = pmat - hat.h + pmat @ np.diag(lev)
-    add("m-definition", float(np.abs(hat.m - m_expect).max()))
-    add("b-gram", float(np.abs(hat.b - hat.m.T @ hat.m).max()))
+    m = pmat - hat.h + pmat @ np.diag(lev)
+    add("b-gram", float(np.abs(hat.b - m.T @ m).max()))
     b_diag_closed = 1 - 1 / n + (1 - 2 / n) * lev - (1 + 1 / n) * lev**2
     add("b-diagonal-closed-form", float(np.abs(np.diag(hat.b) - b_diag_closed).max()))
     return out

@@ -226,41 +226,54 @@ def _arm_mask(data: ObservedData, arm: int) -> np.ndarray:
     return data.z if arm == 1 else ~data.z
 
 
+def _centred(data: ObservedData, arms, scale_out: float = 1.0) -> np.ndarray:
+    """One row per arm: scale_out * (Y_i - Ybar_arm) on the arm, 0 elsewhere."""
+    u = np.zeros((len(arms), data.assignment.n))
+    for row, arm in zip(u, arms):
+        z = _arm_mask(data, arm)
+        yz = data.y[z]
+        row[z] = scale_out * (yz - yz.mean())
+    return u
+
+
+def _hollow(D: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bilinear forms over the rows of u, split at the diagonal of D.
+
+    Returns (hollow, diagonal) with hollow[a, b] = sum_{i != j} u_ai D_ij u_bj
+    and diagonal[a, b] = sum_i D_ii u_ai u_bi.  D is read once, as one
+    product with all rows of u.
+    """
+    diagonal = (u * np.diagonal(D)) @ u.T
+    return (u @ D) @ u.T - diagonal, diagonal
+
+
+def _arm_size(data: ObservedData, arm: int) -> int:
+    return data.assignment.n1 if arm == 1 else data.assignment.n0
+
+
 def sample_diag_quadratic(D, data: ObservedData, arm: int, scale_out: float = 1.0) -> float:
     """n_z^-1 sum_{i in arm} D_ii (scale_out * (Y_i - Ybar_arm))^2.
 
     D may be a full matrix (its diagonal is used) or the diagonal itself.
     """
-    d = _diag_of(D)
-    z = _arm_mask(data, arm)
-    u = scale_out * (data.y[z] - data.y[z].mean())
-    return float(d[z] @ u**2 / z.sum())
+    u = _centred(data, (arm,), scale_out)[0]
+    return float(_diag_of(D) @ (u * u)) / _arm_size(data, arm)
 
 
 def sample_offdiag_quadratic(D, data: ObservedData, arm: int, scale_out: float = 1.0) -> float:
     """(r_z n_z)^-1 sum_{i != j, both in arm} D_ij u_i u_j with
     u = scale_out * (Y - Ybar_arm).  Diagonal entries of D never contribute.
     """
-    D = np.asarray(D, dtype=float)
-    z = _arm_mask(data, arm)
-    nz = int(z.sum())
-    rz = nz / data.assignment.n
-    u = np.zeros(data.assignment.n)
-    u[z] = scale_out * (data.y[z] - data.y[z].mean())
-    total = u @ (D @ u) - np.diag(D) @ u**2
-    return float(total / (rz * nz))
+    hollow, _ = _hollow(np.asarray(D, dtype=float), _centred(data, (arm,), scale_out))
+    nz = _arm_size(data, arm)
+    return float(hollow[0, 0]) / (nz / data.assignment.n * nz)
 
 
 def sample_cross_offdiag(D, data: ObservedData) -> float:
     """(n r1 r0)^-1 sum_{i treated, j control} D_ij (Y_i - Ybar_1)(Y_j - Ybar_0)."""
-    D = np.asarray(D, dtype=float)
     asg = data.assignment
-    z = data.z
-    u1 = np.zeros(asg.n)
-    u0 = np.zeros(asg.n)
-    u1[z] = data.y[z] - data.y[z].mean()
-    u0[~z] = data.y[~z] - data.y[~z].mean()
-    return float(u1 @ (D @ u0) / (asg.n * asg.r1 * asg.r0))
+    hollow, _ = _hollow(np.asarray(D, dtype=float), _centred(data, (1, 0)))
+    return float(hollow[0, 1]) / (asg.n * asg.r1 * asg.r0)
 
 
 # ---------------------------------------------------------------------------
@@ -298,47 +311,26 @@ def estimate_variance(data: ObservedData) -> VarianceEstimate:
     """
     hat = data.hat
     asg = data.assignment
-    n = asg.n
-    r = {1: asg.r1, 0: asg.r0}
-    nz = {1: asg.n1, 0: asg.n0}
-
-    qd = hat.leverages - hat.leverages**2
-    bd = np.diag(hat.b)
-
-    u = {}
-    for arm in (1, 0):
-        mask = _arm_mask(data, arm)
-        v = np.zeros(n)
-        v[mask] = data.y[mask] - data.y[mask].mean()
-        u[arm] = v
-
-    mdiag = {}
-    moff = {}
-    for arm in (1, 0):
-        ua = u[arm]
-        u2 = ua**2
-        mdiag[("q", arm)] = float(qd @ u2) / nz[arm]
-        mdiag[("b", arm)] = float(bd @ u2) / nz[arm]
-        for name, mat, d in (("q", hat.q, qd), ("b", hat.b, bd), ("h", hat.h, hat.leverages)):
-            total = float(ua @ (mat @ ua)) - float(d @ u2)
-            moff[(name, arm)] = total / (r[arm] * nz[arm])
-
-    cross = {}
-    for name, mat in (("q", hat.q), ("b", hat.b), ("h", hat.h)):
-        cross[name] = float(u[1] @ (mat @ u[0])) / (n * asg.r1 * asg.r0)
-
     r1, r0 = asg.r1, asg.r0
-    i1 = i2 = 0.0
-    for arm in (1, 0):
-        rz = r[arm]
-        i1 += r1 * r0 * (r1 * r0 / rz**4 * mdiag[("q", arm)] + mdiag[("b", arm)] / rz**2)
-        i2 += r1 * r0 * (r1 * r0 / rz**4 * moff[("q", arm)] + moff[("b", arm)] / rz**2)
+    # rows (arm 1, arm 0): the diagonal entries of each form are the
+    # single-arm moments, its [0, 1] entry the cross-arm one
+    u = _centred(data, (1, 0))
+    oh, _ = (m.tolist() for m in _hollow(hat.h, u))
+    oq, dq = (m.tolist() for m in _hollow(hat.q, u))
+    ob, db = (m.tolist() for m in _hollow(hat.b, u))
 
-    i3_upper = sum(
-        mdiag[("b", arm)] - mdiag[("q", arm)] - moff[("h", arm)] for arm in (1, 0)
-    ) + 2.0 * cross["h"]
-    i3_upper_prime = sum(mdiag[("b", arm)] - mdiag[("q", arm)] for arm in (1, 0))
-    i4 = 2.0 * (cross["b"] - cross["q"])
+    i1 = i2 = i3_upper = i3_upper_prime = 0.0
+    for k, rz, nz in ((0, r1, asg.n1), (1, r0, asg.n0)):
+        mq, mb = dq[k][k] / nz, db[k][k] / nz
+        i1 += r1 * r0 * (r1 * r0 / rz**4 * mq + mb / rz**2)
+        off_q, off_b, off_h = (m[k][k] / (rz * nz) for m in (oq, ob, oh))
+        i2 += r1 * r0 * (r1 * r0 / rz**4 * off_q + off_b / rz**2)
+        i3_upper += mb - mq - off_h
+        i3_upper_prime += mb - mq
+
+    cross = asg.n * r1 * r0
+    i3_upper += 2.0 * oh[0][1] / cross
+    i4 = 2.0 * (ob[0][1] / cross - oq[0][1] / cross)
 
     hd = i1 + i2 + i3_upper + i4
     hd_prime = i1 + i2 + i3_upper_prime + i4

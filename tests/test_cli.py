@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from randadj.cli import config_hash, default_config, load_config, main
-from randadj.design import substream
+from randadj.design import Assignment, build_hat_structure, substream
+from randadj.estimators import ObservedData, lin_fit, tau_lin, tau_lin_db
 from randadj.harness import CheckOutcome
 
 
@@ -239,3 +240,67 @@ def test_console_script_runs():
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "alpha,gamma,rl2,necessary_r2"
     assert "0.325" in proc.stdout
+
+
+@pytest.mark.parametrize("cell, column", [("nan", "X_1"), ("nan", "Y"), ("inf", "X_1"),
+                                          ("-inf", "Y")])
+def test_analyze_rejects_non_finite_cells(capsys, tmp_path, cell, column):
+    rows = [["0.5", "1", "2"], ["1.5", "1", "1"], ["2", "1", "0.5"],
+            ["1", "0", "1"], ["2", "0", "0"], ["0", "0", "3"]]
+    rows[3][0 if column == "Y" else 2] = cell
+    in_path = tmp_path / "obs.csv"
+    in_path.write_text("Y,Z,X_1\n" + "".join(",".join(r) + "\n" for r in rows))
+    code, _, err = _run(capsys, ["analyze", "--input", str(in_path)])
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    msg = json.loads(err)
+    assert msg["error"] == "config"
+    assert f"column {column}" in msg["message"] and "row 4" in msg["message"]
+
+
+@pytest.mark.parametrize("level", ["1.5", "0", "nan"])
+def test_analyze_rejects_bad_level(capsys, tmp_path, level):
+    in_path = tmp_path / "obs.csv"
+    _write_observed(in_path)
+    code, _, err = _run(capsys, ["analyze", "--input", str(in_path), "--level", level])
+    assert code == 2
+    assert "level" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_simulate_rejects_bad_thread_count(capsys, tmp_path, threads):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(TINY_CONFIG))
+    code, _, err = _run(capsys, ["simulate", "--config", str(cfg_path),
+                                 "--out", str(tmp_path / "out"), "--threads", threads])
+    assert code == 2
+    assert "threads" in json.loads(err)["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_hc3_failure_keeps_lin_points(capsys, tmp_path):
+    """HC3 only backs the interval: when it fails, lin/lin_db keep their points."""
+    # the hand instance of test_hc3_leverage_one_error_names_unit: treated
+    # pooled-centered covariates are (1, 0), so unit 0 has HC3 leverage 1
+    x = np.array([[2.0], [1.0], [1.0], [0.0]])
+    z = np.array([True, True, False, False])
+    y = np.where(z, [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 2.0])
+    in_path = tmp_path / "obs.csv"
+    in_path.write_text("Y,Z,X_1\n" + "".join(
+        f"{y[i]:.17g},{int(z[i])},{x[i, 0]:.17g}\n" for i in range(4)))
+    out_path = tmp_path / "report.json"
+    code, out, _ = _run(capsys, ["analyze", "--input", str(in_path), "--out", str(out_path)])
+    assert code == 0
+    rows = {r["estimator"]: r for r in json.loads(out_path.read_text())["estimates"]}
+
+    data = ObservedData(y=y, assignment=Assignment(z=z, n=4, n1=2), x=x,
+                        hat=build_hat_structure(x))
+    fit = lin_fit(data)
+    want = {"lin": tau_lin(data, fit), "lin_db": tau_lin_db(data, fit)}
+    for e, point in want.items():
+        assert set(rows[e]) == {"estimator", "point", "ci_na"}
+        assert rows[e]["point"] == pytest.approx(point, rel=1e-12, abs=1e-12)
+        assert "unit 0" in rows[e]["ci_na"]
+    for e in ("unadj", "hd", "hd_undb"):
+        assert set(rows[e]) == {"estimator", "point", "variance", "ci_low", "ci_high", "level"}
+    assert "interval NA" in out
