@@ -140,6 +140,8 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError(f"malformed config value: {err}") from err
     if cfg["n"] < 8:
         raise ConfigError("n must be at least 8")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg['seed']}")
     if not 0.0 < cfg["r1"] < 1.0:
         raise ConfigError("r1 must lie in (0, 1)")
     if cfg["reps"] < 2:
@@ -241,6 +243,8 @@ def _read_observed_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ConfigError(f"non-numeric cell in input: {err}") from err
     if data.ndim != 2 or data.shape[0] < 4 or data.shape[1] != p + 2:
         raise ConfigError("input needs at least 4 complete rows")
+    if p >= data.shape[0]:
+        raise ConfigError(f"need fewer covariates than rows: n = {data.shape[0]}, p = {p}")
     bad = ~np.isfinite(data)
     if bad.any():
         row, col = np.argwhere(bad)[0]
@@ -335,6 +339,8 @@ def cmd_curves(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     if args.mode == "exact":
         outcomes = exact_checks(args.seed)
     else:

@@ -148,12 +148,15 @@ def tau_db(data: ObservedData) -> float:
 
 @dataclass(frozen=True)
 class LinFit:
-    """Arm-specific OLS fits: slopes and in-arm residuals (arm order)."""
+    """Arm-specific OLS fits: slopes, in-arm residuals (arm order), and the
+    arm-centered Grams' Cholesky factors, each with L in its lower triangle."""
 
     beta1: np.ndarray
     beta0: np.ndarray
     resid1: np.ndarray
     resid0: np.ndarray
+    chol1: np.ndarray
+    chol0: np.ndarray
 
 
 def lin_fit(data: ObservedData) -> LinFit:
@@ -177,8 +180,9 @@ def lin_fit(data: ObservedData) -> LinFit:
         except np.linalg.LinAlgError as err:
             raise ArmSingularError(arm, str(err)) from err
         beta = cho_solve(chol, xa.T @ yc)
-        out[arm] = (beta, yc - xa @ beta)
-    return LinFit(beta1=out[1][0], beta0=out[0][0], resid1=out[1][1], resid0=out[0][1])
+        out[arm] = (beta, yc - xa @ beta, chol[0])
+    return LinFit(beta1=out[1][0], beta0=out[0][0], resid1=out[1][1], resid0=out[0][1],
+                  chol1=out[1][2], chol0=out[0][2])
 
 
 def tau_lin(data: ObservedData, fit: LinFit | None = None) -> float:

@@ -123,18 +123,15 @@ def replicate_estimates(data: ObservedData) -> tuple[dict, dict, dict]:
 
     try:
         fit = lin_fit(data)
-        points["lin"] = tau_lin(data, fit)
-        points["lin_db"] = tau_lin_db(data, fit)
     except ArmSingularError as err:
-        fit = None
-        na["lin"] = na["lin_db"] = str(err)
-    if fit is not None:
-        try:
-            variances["hc3"] = hc3_variance(data, fit)
-        except (ArmSingularError, LeverageOneError) as err:
-            na["hc3"] = str(err)
-    else:
-        na["hc3"] = na["lin"]
+        na["lin"] = na["lin_db"] = na["hc3"] = str(err)
+        return points, variances, na
+    points["lin"] = tau_lin(data, fit)
+    points["lin_db"] = tau_lin_db(data, fit)
+    try:
+        variances["hc3"] = hc3_variance(data, fit)
+    except LeverageOneError as err:
+        na["hc3"] = str(err)
     return points, variances, na
 
 

@@ -304,3 +304,58 @@ def test_analyze_hc3_failure_keeps_lin_points(capsys, tmp_path):
     for e in ("unadj", "hd", "hd_undb"):
         assert set(rows[e]) == {"estimator", "point", "variance", "ci_low", "ci_high", "level"}
     assert "interval NA" in out
+
+
+def test_analyze_singular_arm_gram_gives_na_rows(capsys, tmp_path):
+    """A singular arm Gram leaves lin/lin_db undefined: `na` rows, not `ci_na`."""
+    # both treated units share X_1 = 1, so the treated arm-centered Gram is zero
+    in_path = tmp_path / "obs.csv"
+    in_path.write_text("Y,Z,X_1\n0.5,1,1\n1.5,1,1\n1,0,0\n2,0,2\n")
+    out_path = tmp_path / "report.json"
+    code, _, err = _run(capsys, ["analyze", "--input", str(in_path), "--out", str(out_path)])
+    assert code == 0 and err == ""
+    rows = {r["estimator"]: r for r in json.loads(out_path.read_text())["estimates"]}
+    for e in ("lin", "lin_db"):
+        assert set(rows[e]) == {"estimator", "na"}
+        assert rows[e]["na"].startswith("arm 1 regression is singular")
+    for e in ("unadj", "hd", "hd_undb"):
+        assert "ci_low" in rows[e]
+
+
+@pytest.mark.parametrize("p", [4, 5])
+def test_analyze_rejects_p_not_below_n(capsys, tmp_path, p):
+    header = ",".join(["Y", "Z"] + [f"X_{j}" for j in range(1, p + 1)])
+    rows = [f"{y},{z}," + ",".join(str(i * p + j) for j in range(p))
+            for i, (y, z) in enumerate([(1.5, 1), (0.5, 1), (2.0, 0), (1.0, 0)])]
+    in_path = tmp_path / "obs.csv"
+    in_path.write_text("\n".join([header] + rows) + "\n")
+    code, _, err = _run(capsys, ["analyze", "--input", str(in_path)])
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    msg = json.loads(err)
+    assert msg["error"] == "config"
+    assert "n = 4" in msg["message"] and f"p = {p}" in msg["message"]
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_simulate_rejects_negative_seed(capsys, tmp_path, where):
+    cfg_path = tmp_path / "cfg.json"
+    cfg = dict(TINY_CONFIG, seed=-3) if where == "config" else TINY_CONFIG
+    cfg_path.write_text(json.dumps(cfg))
+    extra = ["--seed", "-1"] if where == "flag" else []
+    code, _, err = _run(capsys, ["simulate", "--config", str(cfg_path),
+                                 "--out", str(tmp_path / "out"), *extra])
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    msg = json.loads(err)
+    assert msg["error"] == "config" and "seed" in msg["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_rejects_negative_seed(capsys):
+    code, out, err = _run(capsys, ["verify", "--seed", "-1"])
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    msg = json.loads(err)
+    assert msg["error"] == "config" and "seed" in msg["message"]
+    assert out == ""

@@ -116,10 +116,13 @@ def test_lin_fit_residuals_orthogonal_in_arm():
     table = _random_table(rng, 40, 2)
     data = _assign(table, 18, rng)
     fit = lin_fit(data)
-    for z, resid in ((data.z, fit.resid1), (~data.z, fit.resid0)):
+    for z, resid, chol in ((data.z, fit.resid1, fit.chol1), (~data.z, fit.resid0, fit.chol0)):
         xa = table.x[z] - table.x[z].mean(axis=0)
         np.testing.assert_allclose(xa.T @ resid, 0.0, atol=1e-9)
         assert resid.mean() == pytest.approx(0.0, abs=1e-10)
+        # the fit carries the Cholesky factor of the arm-centered Gram
+        low = np.tril(chol)
+        np.testing.assert_allclose(low @ low.T, xa.T @ xa, rtol=1e-12)
 
 
 def test_tau_lin_db_loop_oracle():
@@ -161,6 +164,20 @@ def test_lin_fit_rejects_small_arm():
         lin_fit(data)
     assert exc.value.arm in (0, 1)
     assert "singular" in str(exc.value)
+
+
+def test_lin_fit_singular_arm_gram():
+    x = np.array([[1.0], [1.0], [0.0], [2.0]])
+    table = ScienceTable(
+        y1=np.array([0.5, 1.5, 0.0, 0.0]), y0=np.array([0.0, 0.0, 1.0, 2.0]),
+        x=x, hat=build_hat_structure(x),
+    )
+    z = np.array([True, True, False, False])
+    data = observe(table, Assignment(z=z, n=4, n1=2))
+    # both treated units share one covariate value: the arm-centered Gram is zero
+    with pytest.raises(ArmSingularError) as exc:
+        lin_fit(data)
+    assert exc.value.arm == 1
 
 
 def test_beta_hat_pooled_needs_two_units():

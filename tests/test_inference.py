@@ -8,12 +8,7 @@ from randadj.design import (
     enumerate_assignments,
     substream,
 )
-from randadj.estimators import (
-    ArmSingularError,
-    LinFit,
-    ScienceTable,
-    observe,
-)
+from randadj.estimators import ScienceTable, lin_fit, observe
 from randadj.finitepop import sample_variance, scaled_variance
 from randadj.inference import (
     LeverageOneError,
@@ -386,8 +381,6 @@ def test_hc3_p1_loop_oracle():
     rng = substream(74)
     table = _random_table(rng, 16, 1)
     data = observe(table, complete_randomization(16, 7, rng))
-    from randadj.estimators import lin_fit
-
     fit = lin_fit(data)
     n = 16
     want = 0.0
@@ -402,6 +395,33 @@ def test_hc3_p1_loop_oracle():
             acc += resid[k] ** 2 / (1.0 - lev) ** 2
         want += n / ((nz - 1) * nz) * acc
     assert hc3_variance(data) == pytest.approx(want, rel=1e-11)
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_hc3_pooled_gram_oracle(p):
+    """HC3 uses pooled-centered, no-intercept arm leverages x_i'(X_z'X_z)^-1 x_i,
+    x = X - Xbar, here each from a dense solve on the explicit arm Gram.  The
+    textbook intercept form 1/n_z + (arm-centered leverage) is never smaller."""
+    rng = substream(76)
+    n = 16
+    table = _random_table(rng, n, p)
+    data = observe(table, complete_randomization(n, 7, rng))
+    fit = lin_fit(data)
+    xc = table.x - table.x.mean(axis=0)
+    want = textbook = 0.0
+    for resid, mask in ((fit.resid1, data.z), (fit.resid0, ~data.z)):
+        xa = xc[mask]
+        xa_arm = xa - xa.mean(axis=0)
+        nz = len(xa)
+        lev = np.array([xi @ np.linalg.solve(xa.T @ xa, xi) for xi in xa])
+        lev_int = 1.0 / nz + np.array(
+            [xi @ np.linalg.solve(xa_arm.T @ xa_arm, xi) for xi in xa_arm])
+        assert np.all(lev_int >= lev - 1e-12)
+        want += n / ((nz - 1) * nz) * np.sum(resid**2 / (1.0 - lev) ** 2)
+        textbook += n / ((nz - 1) * nz) * np.sum(resid**2 / (1.0 - lev_int) ** 2)
+    got = hc3_variance(data, fit)
+    assert got == pytest.approx(want, rel=1e-11)
+    assert textbook >= got
 
 
 def test_hc3_homogeneous_in_outcome_scale():
@@ -431,21 +451,6 @@ def test_hc3_leverage_one_error_names_unit():
         hc3_variance(data)
     assert exc.value.unit == 0
     assert "unit 0" in str(exc.value)
-
-
-def test_hc3_singular_arm_gram():
-    x = np.array([[1.0], [1.0], [0.0], [2.0]])
-    table = ScienceTable(
-        y1=np.ones(4), y0=np.zeros(4), x=x, hat=build_hat_structure(x)
-    )
-    z = np.array([True, True, False, False])
-    data = observe(table, Assignment(z=z, n=4, n1=2))
-    fake = LinFit(
-        beta1=np.zeros(1), beta0=np.zeros(1), resid1=np.zeros(2), resid0=np.zeros(2)
-    )
-    # both treated units sit at the pooled mean, so the arm Gram is zero
-    with pytest.raises(ArmSingularError):
-        hc3_variance(data, fit=fake)
 
 
 def test_wald_ci_values():
