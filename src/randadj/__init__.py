@@ -40,9 +40,6 @@ from .estimators import (
     tau_unadj,
 )
 from .finitepop import (
-    diag_split,
-    empirical_mean,
-    sample_covariance,
     sample_variance,
     scale,
     scaled_covariance,

@@ -123,20 +123,44 @@ def load_config(path: str | None, full: bool, overrides: dict) -> dict:
     return cfg
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, list) and all(ok(x) for x in v)
+
+
+#: the JSON type each config key must have; values are checked, never coerced
+_CONFIG_TYPES = {
+    "n": (_is_int, "an integer"),
+    "seed": (_is_int, "an integer"),
+    "reps": (_is_int, "an integer"),
+    "r1": (_is_number, "a number"),
+    "level": (_is_number, "a number"),
+    "alphas": (_list_of(_is_number), "a list of numbers"),
+    "deltas": (_list_of(_is_number), "a list of numbers"),
+    "gammas": (_list_of(_is_number), "a list of numbers"),
+    "residuals": (_list_of(lambda v: isinstance(v, str)), "a list of strings"),
+    "covariate_dist": (lambda v: isinstance(v, str), "a string"),
+    "rank_transform": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
 def _validate_config(cfg: dict) -> None:
+    for key, (ok, what) in _CONFIG_TYPES.items():
+        if not ok(cfg[key]):
+            raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
     try:
-        cfg["n"] = int(cfg["n"])
-        cfg["seed"] = int(cfg["seed"])
-        cfg["reps"] = int(cfg["reps"])
-        cfg["r1"] = float(cfg["r1"])
-        cfg["level"] = float(cfg["level"])
-        cfg["alphas"] = [float(a) for a in cfg["alphas"]]
-        cfg["deltas"] = [float(d) for d in cfg["deltas"]]
-        cfg["gammas"] = [float(g) for g in cfg["gammas"]]
-        cfg["residuals"] = [str(r) for r in cfg["residuals"]]
-        cfg["covariate_dist"] = str(cfg["covariate_dist"])
-        cfg["rank_transform"] = bool(cfg["rank_transform"])
-    except (KeyError, TypeError, ValueError) as err:
+        for key in ("r1", "level"):
+            cfg[key] = float(cfg[key])
+        for key in ("alphas", "deltas", "gammas"):
+            cfg[key] = [float(v) for v in cfg[key]]
+    except OverflowError as err:
         raise ConfigError(f"malformed config value: {err}") from err
     if cfg["n"] < 8:
         raise ConfigError("n must be at least 8")

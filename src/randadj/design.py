@@ -13,8 +13,10 @@ Because PH = HP = H and H^2 = H, B has the closed form
 
     B = (I+D) P (I+D) - (I+D) H - H (I+D) + H,
     B_ij = (1 + D_i) (1 + D_j) (delta_ij - 1/n) - (1 + D_i + D_j) H_ij,
+    B_ii = -(1 + 1/n) (1 + D_i)^2 + 3 (1 + D_i) - 1,
 
-so it is built in O(n^2) without forming M.
+so B is never formed: randadj.inference.hat_forms evaluates its
+bilinear forms from one product with H.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ class HatStructure:
     h : hat matrix (projection onto the centered column span), n x n
     leverages : diag(h)
     q : leverage interaction matrix Q
-    b : Gram B = M'M of the debiased-residual map M, from its closed form
     alpha : covariate dimension ratio p/n
     """
 
@@ -77,7 +78,6 @@ class HatStructure:
     h: np.ndarray
     leverages: np.ndarray
     q: np.ndarray
-    b: np.ndarray
     alpha: float
     n: int
     p: int
@@ -124,19 +124,8 @@ def build_hat_structure(X) -> HatStructure:
     q = h * h
     np.fill_diagonal(q, lev - lev**2)
 
-    # B's elementwise closed form, with g = 1 + D; each term is formed
-    # symmetrically, so b is exactly symmetric like h
-    g = 1.0 + lev
-    b = np.add.outer(lev, lev)
-    b += 1.0
-    b *= h
-    gs = g / math.sqrt(n)
-    b += np.outer(gs, gs)
-    np.negative(b, out=b)
-    b.flat[:: n + 1] += g * g
-
     return HatStructure(
-        x_mean=x_mean, xc=xc, h=h, leverages=lev, q=q, b=b,
+        x_mean=x_mean, xc=xc, h=h, leverages=lev, q=q,
         alpha=p / n, n=n, p=p, gram_chol=chol,
     )
 

@@ -228,13 +228,3 @@ def build_cell(base: BaseTables, cfg: CellConfig) -> ScienceTable:
     y0 = base.mu0 + lin0 + eps0 / root_gamma
     return ScienceTable(y1=y1, y0=y0, x=x, hat=hat)
 
-
-def export_science_table_csv(table: ScienceTable, path) -> None:
-    """Write a table as CSV with columns Y1, Y0, X_1..X_p."""
-    p = table.hat.p
-    header = ["Y1", "Y0"] + [f"X_{j}" for j in range(1, p + 1)]
-    body = np.column_stack([table.y1, table.y0, table.x])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in body:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

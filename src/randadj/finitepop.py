@@ -6,11 +6,10 @@ defined here are therefore deterministic functionals of vectors of length
 n, using the finite-population convention with divisor n - 1:
 
     S2(a)      = (n-1)^-1 sum_i (a_i - abar)^2
-    S(a, b)    = (n-1)^-1 sum_i (a_i - abar)(b_i - bbar)
     S2(A, a)   = (n-1)^-1 sum_{i,j} A_ij (a_i - abar)(a_j - abar)
     S(A, a, b) = (n-1)^-1 sum_{i,j} A_ij (a_i - abar)(b_j - bbar)
 
-The weighted forms reduce to the plain ones when A is the identity.
+S2(A, a) reduces to S2(a) when A is the identity.
 """
 
 from __future__ import annotations
@@ -36,25 +35,11 @@ def _as_weight_matrix(A, n: int) -> np.ndarray:
     return A
 
 
-def empirical_mean(a) -> float:
-    """Plain average of a population vector."""
-    return float(np.mean(_as_pop_vector(a)))
-
-
 def sample_variance(a) -> float:
     """S2(a) with divisor n - 1."""
     a = _as_pop_vector(a)
     ac = a - a.mean()
     return float(ac @ ac / (a.shape[0] - 1))
-
-
-def sample_covariance(a, b) -> float:
-    """S(a, b) with divisor n - 1."""
-    a = _as_pop_vector(a)
-    b = _as_pop_vector(b)
-    if a.shape != b.shape:
-        raise ValueError("covariance needs vectors of equal length")
-    return float((a - a.mean()) @ (b - b.mean()) / (a.shape[0] - 1))
 
 
 def scaled_variance(A, a) -> float:
@@ -76,18 +61,6 @@ def scaled_covariance(A, a, b) -> float:
         raise ValueError("covariance needs vectors of equal length")
     A = _as_weight_matrix(A, a.shape[0])
     return float((a - a.mean()) @ (A @ (b - b.mean())) / (a.shape[0] - 1))
-
-
-def diag_split(A) -> tuple[np.ndarray, np.ndarray]:
-    """Split a weight matrix into its diagonal and hollow (off-diagonal) parts.
-
-    Returns (diag{A}, A - diag{A}); the two parts sum to A entrywise.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("diag_split needs a square matrix")
-    D = np.diag(np.diag(A))
-    return D, A - D
 
 
 def scale(a) -> np.ndarray:

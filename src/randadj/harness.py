@@ -43,6 +43,7 @@ from .inference import (
     LeverageOneError,
     OracleVariances,
     estimate_variance,
+    hat_forms,
     hc3_variance,
     neyman_variance_unadj,
     oracle_variances,
@@ -436,13 +437,14 @@ def hat_invariant_checks(hat, atol: float = 1e-10) -> list[CheckOutcome]:
     np.fill_diagonal(q_expect, lev - lev**2)
     add("q-definition", float(np.abs(hat.q - q_expect).max()))
     add("q-rowsum", float(np.abs(hat.q.sum(axis=1) - 2 * lev * (1 - lev)).max()))
-    # B is built from its closed form; compare it with M'M for the map
-    # M = P - H + P diag{H} itself
+    # B's forms come from H alone; at u = I they are B's entries, which are
+    # compared with M'M for the map M = P - H + P diag{H} itself
     pmat = np.eye(n) - np.full((n, n), 1.0 / n)
     m = pmat - hat.h + pmat @ np.diag(lev)
-    add("b-gram", float(np.abs(hat.b - m.T @ m).max()))
+    hollow_b, diag_b = hat_forms(hat, np.eye(n))[2]
+    add("b-gram", float(np.abs(hollow_b + diag_b - m.T @ m).max()))
     b_diag_closed = 1 - 1 / n + (1 - 2 / n) * lev - (1 + 1 / n) * lev**2
-    add("b-diagonal-closed-form", float(np.abs(np.diag(hat.b) - b_diag_closed).max()))
+    add("b-diagonal-closed-form", float(np.abs(diag_b - np.diag(b_diag_closed)).max()))
     return out
 
 
@@ -458,7 +460,7 @@ def _random_instance(rng, n: int, p: int) -> ScienceTable:
 
 def algebraic_identity_checks(seed: int = 0, instances: int = 10) -> list[CheckOutcome]:
     """Random-instance identities linking the variance representations."""
-    from .finitepop import sample_variance, scaled_covariance, scaled_variance
+    from .finitepop import sample_variance, scaled_variance
     from .inference import residuals as residual_sets
 
     rng = substream(seed, 7001)
@@ -478,8 +480,12 @@ def algebraic_identity_checks(seed: int = 0, instances: int = 10) -> list[CheckO
         table = _random_instance(rng, n, p)
         ov = oracle_variances(table, r1)
 
-        v = table.y1 / r1 + table.y0 / r0
-        rhs = r1 * r0 * scaled_variance(table.hat.b, v)
+        # full B forms over the population-centred rows v, a + b, a and b
+        a, b = table.y1, table.y0
+        rows = np.vstack((a / r1 + b / r0, a + b, a, b))
+        hollow_b, diag_b = hat_forms(table.hat, rows - rows.mean(axis=1, keepdims=True))[2]
+        s2_b = (hollow_b + diag_b) / (n - 1)
+        rhs = r1 * r0 * s2_b[0, 0]
         worst["rewrite-linear-variance"] = max(
             worst["rewrite-linear-variance"],
             abs(ov.sigma_hd_l2 - rhs) / max(1.0, abs(ov.sigma_hd_l2)))
@@ -489,10 +495,8 @@ def algebraic_identity_checks(seed: int = 0, instances: int = 10) -> list[CheckO
             worst["component-partition"],
             abs(sum(comps) - ov.sigma_hd2) / max(1.0, abs(ov.sigma_hd2)))
 
-        a, b = table.y1, table.y0
-        lhs2 = scaled_variance(table.hat.b, a + b)
-        rhs2 = (scaled_variance(table.hat.b, a) + scaled_variance(table.hat.b, b)
-                + 2 * scaled_covariance(table.hat.b, a, b))
+        lhs2 = s2_b[1, 1]
+        rhs2 = s2_b[2, 2] + s2_b[3, 3] + 2 * s2_b[2, 3]
         worst["quadratic-expansion"] = max(
             worst["quadratic-expansion"], abs(lhs2 - rhs2) / max(1.0, abs(lhs2)))
 

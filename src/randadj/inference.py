@@ -19,8 +19,9 @@ import numpy as np
 from scipy.linalg.blas import dtrsm
 from scipy.special import ndtri
 
+from .design import HatStructure
 from .estimators import LinFit, ObservedData, ScienceTable, lin_fit
-from .finitepop import diag_split, sample_variance, scaled_covariance, scaled_variance
+from .finitepop import sample_variance, scaled_variance
 
 
 class LeverageOneError(ValueError):
@@ -134,24 +135,18 @@ def variance_components(table: ScienceTable, r1: float) -> tuple[float, float, f
     """
     r1 = _check_r1(r1)
     r0 = 1.0 - r1
-    q, b = table.hat.q, table.hat.b
-    dq, oq = diag_split(q)
-    db, ob = diag_split(b)
+    n = table.hat.n
+    # rows (y1, y0) centred at their population means; each form divided by
+    # n - 1 is a finitepop scaled variance (diagonal) or covariance ([0, 1])
+    u = np.vstack((table.y1 - table.y1.mean(), table.y0 - table.y0.mean()))
+    _, (oq, dq), (ob, db) = ((m / (n - 1) for m in pair) for pair in hat_forms(table.hat, u))
     i1 = i2 = 0.0
-    for y, rz in ((table.y1, r1), (table.y0, r0)):
-        i1 += r1 * r0 * (
-            r1 * r0 / rz**4 * scaled_variance(dq, y)
-            + scaled_variance(db, y) / rz**2
-        )
-        i2 += r1 * r0 * (
-            r1 * r0 / rz**4 * scaled_variance(oq, y)
-            + scaled_variance(ob, y) / rz**2
-        )
-    i3 = 2.0 * (scaled_covariance(db, table.y1, table.y0)
-                - scaled_covariance(dq, table.y1, table.y0))
-    i4 = 2.0 * (scaled_covariance(ob, table.y1, table.y0)
-                - scaled_covariance(oq, table.y1, table.y0))
-    return i1, i2, i3, i4
+    for k, rz in ((0, r1), (1, r0)):
+        i1 += r1 * r0 * (r1 * r0 / rz**4 * dq[k, k] + db[k, k] / rz**2)
+        i2 += r1 * r0 * (r1 * r0 / rz**4 * oq[k, k] + ob[k, k] / rz**2)
+    i3 = 2.0 * (db[0, 1] - dq[0, 1])
+    i4 = 2.0 * (ob[0, 1] - oq[0, 1])
+    return float(i1), float(i2), float(i3), float(i4)
 
 
 # ---------------------------------------------------------------------------
@@ -213,24 +208,19 @@ def rl2_curve(alphas, gamma: float) -> np.ndarray:
 # sample moments of weighted quadratic forms
 # ---------------------------------------------------------------------------
 
-def _diag_of(D) -> np.ndarray:
-    D = np.asarray(D, dtype=float)
-    return np.diag(D) if D.ndim == 2 else D
-
-
 def _arm_mask(data: ObservedData, arm: int) -> np.ndarray:
     if arm not in (0, 1):
         raise ValueError("arm must be 0 or 1")
     return data.z if arm == 1 else ~data.z
 
 
-def _centred(data: ObservedData, arms, scale_out: float = 1.0) -> np.ndarray:
-    """One row per arm: scale_out * (Y_i - Ybar_arm) on the arm, 0 elsewhere."""
+def _centred(data: ObservedData, arms) -> np.ndarray:
+    """One row per arm: Y_i - Ybar_arm on the arm, 0 elsewhere."""
     u = np.zeros((len(arms), data.assignment.n))
     for row, arm in zip(u, arms):
         z = _arm_mask(data, arm)
         yz = data.y[z]
-        row[z] = scale_out * (yz - yz.mean())
+        row[z] = yz - yz.mean()
     return u
 
 
@@ -245,24 +235,51 @@ def _hollow(D: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (u @ D) @ u.T - diagonal, diagonal
 
 
+def hat_forms(hat: HatStructure, u: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(hollow, diagonal) bilinear forms of H, Q and B over the rows of u.
+
+    Returns ((hollow_H, diag_H), (hollow_Q, diag_Q), (hollow_B, diag_B)),
+    each a k x k matrix for u of shape k x n, split as in _hollow.  B is
+    never formed: with g = 1 + diag{H}, G = diag{g} and v = [u; G u],
+    one product m = v H v' and the Gram e = v v' give
+
+        u H u'         = m_UU,  diagonal e_GU - e_UU,
+        u B u'         = e_GG - s s'/n - m_GU - m_GU' + m_UU,
+        diagonal of B: 3 e_GU - e_UU - (1 + 1/n) e_GG,
+
+    where s holds the row sums of G u (B = GPG - GH - HG + H, see
+    randadj.design).  Q is read once, as in _hollow.
+    """
+    k, n = u.shape
+    g = 1.0 + hat.leverages
+    v = np.concatenate((u, u * g))
+    m = (v @ hat.h) @ v.T
+    e = v @ v.T
+    e_uu, e_gu, e_gg = e[:k, :k], e[k:, :k], e[k:, k:]
+    m_gu = m[k:, :k]
+    s = u @ g
+    full_h = m[:k, :k]
+    diag_h = e_gu - e_uu
+    full_b = e_gg - s[:, None] * (s / n) - m_gu - m_gu.T + full_h
+    diag_b = 3.0 * e_gu - e_uu - (1.0 + 1.0 / n) * e_gg
+    return (full_h - diag_h, diag_h), _hollow(hat.q, u), (full_b - diag_b, diag_b)
+
+
 def _arm_size(data: ObservedData, arm: int) -> int:
     return data.assignment.n1 if arm == 1 else data.assignment.n0
 
 
-def sample_diag_quadratic(D, data: ObservedData, arm: int, scale_out: float = 1.0) -> float:
-    """n_z^-1 sum_{i in arm} D_ii (scale_out * (Y_i - Ybar_arm))^2.
-
-    D may be a full matrix (its diagonal is used) or the diagonal itself.
-    """
-    u = _centred(data, (arm,), scale_out)[0]
-    return float(_diag_of(D) @ (u * u)) / _arm_size(data, arm)
+def sample_diag_quadratic(D, data: ObservedData, arm: int) -> float:
+    """n_z^-1 sum_{i in arm} D_ii (Y_i - Ybar_arm)^2."""
+    u = _centred(data, (arm,))[0]
+    return float(np.diagonal(D) @ (u * u)) / _arm_size(data, arm)
 
 
-def sample_offdiag_quadratic(D, data: ObservedData, arm: int, scale_out: float = 1.0) -> float:
+def sample_offdiag_quadratic(D, data: ObservedData, arm: int) -> float:
     """(r_z n_z)^-1 sum_{i != j, both in arm} D_ij u_i u_j with
-    u = scale_out * (Y - Ybar_arm).  Diagonal entries of D never contribute.
+    u = Y - Ybar_arm.  Diagonal entries of D never contribute.
     """
-    hollow, _ = _hollow(np.asarray(D, dtype=float), _centred(data, (arm,), scale_out))
+    hollow, _ = _hollow(np.asarray(D, dtype=float), _centred(data, (arm,)))
     nz = _arm_size(data, arm)
     return float(hollow[0, 0]) / (nz / data.assignment.n * nz)
 
@@ -312,10 +329,8 @@ def estimate_variance(data: ObservedData) -> VarianceEstimate:
     r1, r0 = asg.r1, asg.r0
     # rows (arm 1, arm 0): the diagonal entries of each form are the
     # single-arm moments, its [0, 1] entry the cross-arm one
-    u = _centred(data, (1, 0))
-    oh, _ = (m.tolist() for m in _hollow(hat.h, u))
-    oq, dq = (m.tolist() for m in _hollow(hat.q, u))
-    ob, db = (m.tolist() for m in _hollow(hat.b, u))
+    (oh, _), (oq, dq), (ob, db) = (
+        (m.tolist() for m in pair) for pair in hat_forms(hat, _centred(data, (1, 0))))
 
     i1 = i2 = i3_upper = i3_upper_prime = 0.0
     for k, rz, nz in ((0, r1, asg.n1), (1, r0, asg.n0)):

@@ -132,6 +132,15 @@ def cross_offdiag_mean(w, y1, y0, n1: int) -> float:
     return inclusion(n1, n0, 1, 1) * _hollow_sum(np.asarray(w, dtype=float), pair) / (n1 * n0 / n)
 
 
+def dense_b(hat) -> np.ndarray:
+    """The n x n matrix B = M'M of randadj.design, from its entrywise closed
+    form B_ij = g_i g_j (delta_ij - 1/n) - (g_i + g_j - 1) H_ij with
+    g = 1 + diag{H}.  The package never forms B; tests compare its forms
+    with this dense reference."""
+    g = 1.0 + hat.leverages
+    return np.diag(g * g) - np.outer(g, g) / hat.n - (np.add.outer(g, g) - 1.0) * hat.h
+
+
 def plugin_moment_means(table, n1: int) -> dict[str, float]:
     """Exact means of the 15 plug-in statistics of a science table.
 
@@ -143,7 +152,7 @@ def plugin_moment_means(table, n1: int) -> dict[str, float]:
     y = {1: table.y1, 0: table.y0}
     size = {1: n1, 0: hat.n - n1}
     out = {}
-    for name, mat in (("H", hat.h), ("Q", hat.q), ("B", hat.b)):
+    for name, mat in (("H", hat.h), ("Q", hat.q), ("B", dense_b(hat))):
         for z in (1, 0):
             out[f"diag {name} arm {z}"] = diag_quadratic_mean(np.diag(mat), y[z], size[z])
             out[f"hollow {name} arm {z}"] = offdiag_quadratic_mean(mat, y[z], size[z])

@@ -16,17 +16,12 @@ import time
 import numpy as np
 import pytest
 
-from exact_moments import plugin_moment_means, variance_estimate_means
+from exact_moments import dense_b, plugin_moment_means, variance_estimate_means
 from randadj.cli import config_cells, default_config, main
 from randadj.design import build_hat_structure, complete_randomization, substream
 from randadj.dgp import CellConfig, build_cell, gen_base_tables
 from randadj.estimators import ArmSingularError, ScienceTable, observe, tau_db
-from randadj.finitepop import (
-    diag_split,
-    sample_variance,
-    scaled_covariance,
-    scaled_variance,
-)
+from randadj.finitepop import sample_variance, scaled_covariance, scaled_variance
 from randadj.harness import enumeration_identity_checks, run_factorial
 from randadj.inference import (
     estimate_variance,
@@ -92,9 +87,10 @@ def test_criterion_2_algebraic_identities():
         table = ScienceTable(y1=y1, y0=y0, x=x, hat=hat)
         ov = oracle_variances(table, r1)
         r0 = 1.0 - r1
+        b_mat = dense_b(hat)
 
         # (a) linear-part variance equals its Gram-form rewrite
-        rewrite = r1 * r0 * scaled_variance(hat.b, y1 / r1 + y0 / r0)
+        rewrite = r1 * r0 * scaled_variance(b_mat, y1 / r1 + y0 / r0)
         worst = max(worst, _rel_err(ov.sigma_hd_l2, rewrite))
         # (b) four components recompose the full variance
         worst = max(worst, _rel_err(sum(variance_components(table, r1)),
@@ -102,7 +98,7 @@ def test_criterion_2_algebraic_identities():
         # (c) closed form for the Gram diagonal
         lev = hat.leverages
         b_ii = 1 - 1 / n + (1 - 2 / n) * lev - (1 + 1 / n) * lev ** 2
-        worst = max(worst, float(np.max(np.abs(np.diag(hat.b) - b_ii))))
+        worst = max(worst, float(np.max(np.abs(np.diag(b_mat) - b_ii))))
         # (d) projection identities
         worst = max(worst, float(np.max(np.abs(hat.h @ hat.h - hat.h))))
         worst = max(worst, _rel_err(float(np.trace(hat.h)), p))
@@ -112,14 +108,15 @@ def test_criterion_2_algebraic_identities():
         a_vec, b_vec = y1, y0
         c1, c2 = rng.uniform(-2, 2, size=2)
         worst = max(worst, _rel_err(
-            scaled_covariance(hat.b, c1 * a_vec + c2 * b_vec, a_vec),
-            c1 * scaled_covariance(hat.b, a_vec, a_vec)
-            + c2 * scaled_covariance(hat.b, b_vec, a_vec)))
+            scaled_covariance(b_mat, c1 * a_vec + c2 * b_vec, a_vec),
+            c1 * scaled_covariance(b_mat, a_vec, a_vec)
+            + c2 * scaled_covariance(b_mat, b_vec, a_vec)))
         worst = max(worst, _rel_err(
-            scaled_covariance(hat.b + hat.q, a_vec, b_vec),
-            scaled_covariance(hat.b, a_vec, b_vec)
+            scaled_covariance(b_mat + hat.q, a_vec, b_vec),
+            scaled_covariance(b_mat, a_vec, b_vec)
             + scaled_covariance(hat.q, a_vec, b_vec)))
-        d_part, h_part = diag_split(hat.q)
+        d_part = np.diag(np.diag(hat.q))
+        h_part = hat.q - d_part
         worst = max(worst, _rel_err(
             scaled_variance(hat.q, a_vec),
             scaled_variance(d_part, a_vec) + scaled_variance(h_part, a_vec)))
@@ -376,8 +373,9 @@ def _plugin_targets(table):
     covariance, keyed as in exact_moments.plugin_moment_means."""
     y = {1: table.y1, 0: table.y0}
     targets = {}
-    for name, mat in (("H", table.hat.h), ("Q", table.hat.q), ("B", table.hat.b)):
-        d_part, h_part = diag_split(mat)
+    for name, mat in (("H", table.hat.h), ("Q", table.hat.q), ("B", dense_b(table.hat))):
+        d_part = np.diag(np.diag(mat))
+        h_part = mat - d_part
         for z in (1, 0):
             targets[f"diag {name} arm {z}"] = scaled_variance(d_part, y[z])
             targets[f"hollow {name} arm {z}"] = scaled_variance(h_part, y[z])
@@ -388,8 +386,8 @@ def _plugin_targets(table):
 def test_criterion_8_plugin_moments():
     start = time.perf_counter()
     cfg, table = _t3_cell(500, 0.2)
-    mats = {"H": table.hat.h, "Q": table.hat.q, "B": table.hat.b}
-    split = {k: diag_split(v) for k, v in mats.items()}
+    mats = {"H": table.hat.h, "Q": table.hat.q, "B": dense_b(table.hat)}
+    hollows = {k: v - np.diag(np.diag(v)) for k, v in mats.items()}
     targets = _plugin_targets(table)
     labels = list(targets)
 
@@ -401,7 +399,7 @@ def test_criterion_8_plugin_moments():
         col = 0
         for name in mats:
             full = mats[name]
-            hollow = split[name][1]
+            hollow = hollows[name]
             for z in (1, 0):
                 draws[r, col] = sample_diag_quadratic(full, data, z)
                 draws[r, col + 1] = sample_offdiag_quadratic(hollow, data, z)

@@ -359,3 +359,48 @@ def test_verify_rejects_negative_seed(capsys):
     msg = json.loads(err)
     assert msg["error"] == "config" and "seed" in msg["message"]
     assert out == ""
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", 1.5),
+    ("seed", True),
+    ("n", 40.9),
+    ("reps", 2.7),
+    ("r1", "0.35"),
+    ("level", False),
+    ("alphas", 0.1),
+    ("deltas", [0.25, "0.75"]),
+    ("gammas", [True]),
+    ("residuals", "t3"),
+    ("covariate_dist", ["t3"]),
+    ("rank_transform", "false"),
+    ("rank_transform", 0),
+])
+def test_simulate_rejects_config_value_of_wrong_type(capsys, tmp_path, key, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(TINY_CONFIG, **{key: value})))
+    code, _, err = _run(capsys, ["simulate", "--config", str(cfg_path),
+                                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    msg = json.loads(err)
+    assert msg["error"] == "config" and msg["message"].startswith(f"{key} must be")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_numbers_accept_json_integers(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(TINY_CONFIG, gammas=[2], deltas=[1])))
+    cfg = load_config(str(cfg_path), False, {})
+    assert cfg["gammas"] == [2.0] and isinstance(cfg["gammas"][0], float)
+    assert cfg["deltas"] == [1.0] and isinstance(cfg["deltas"][0], float)
+
+
+def test_simulate_rejects_integer_too_large_for_a_float(capsys, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(TINY_CONFIG, alphas=[10**400])))
+    code, _, err = _run(capsys, ["simulate", "--config", str(cfg_path),
+                                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    msg = json.loads(err)
+    assert msg["error"] == "config" and "too large" in msg["message"]

@@ -11,6 +11,7 @@ from randadj.design import (
     enumerate_assignments,
     substream,
 )
+from randadj.inference import hat_forms
 
 # Hand-derived projection pieces for X = (0, 1, 2)^T.
 HAND_X = np.array([[0.0], [1.0], [2.0]])
@@ -41,7 +42,10 @@ def test_hand_instance_h_q_b():
     hat = build_hat_structure(HAND_X)
     np.testing.assert_allclose(hat.h, HAND_H, atol=1e-14)
     np.testing.assert_allclose(hat.q, HAND_Q, atol=1e-14)
-    np.testing.assert_allclose(hat.b, HAND_B, atol=1e-13)
+    # B is never stored: its forms at u = I are its entries
+    hollow_b, diag_b = hat_forms(hat, np.eye(3))[2]
+    np.testing.assert_allclose(hollow_b + diag_b, HAND_B, atol=1e-13)
+    np.testing.assert_allclose(diag_b, np.diag(np.diag(HAND_B)), atol=1e-13)
     np.testing.assert_allclose(hat.leverages, [0.5, 0.0, 0.5], atol=1e-14)
     assert hat.n == 3 and hat.p == 1
     assert hat.alpha == pytest.approx(1.0 / 3.0)
@@ -65,7 +69,8 @@ def test_projection_invariants_random():
         lev = hat.leverages
         np.testing.assert_allclose(hat.q.sum(axis=1), 2 * lev * (1 - lev), atol=1e-9)
         want_bdiag = 1 - 1 / n + (1 - 2 / n) * lev - (1 + 1 / n) * lev**2
-        np.testing.assert_allclose(np.diag(hat.b), want_bdiag, atol=1e-9)
+        diag_b = hat_forms(hat, np.eye(n))[2][1]
+        np.testing.assert_allclose(diag_b, np.diag(want_bdiag), atol=1e-9)
 
 
 def test_hat_affine_invariance():

@@ -7,7 +7,6 @@ from randadj.dgp import (
     DegenerateResidualError,
     build_cell,
     cell_key,
-    export_science_table_csv,
     gen_base_tables,
     p_for_alpha,
     sample_cauchy,
@@ -205,17 +204,3 @@ def test_build_cell_rejects_mismatched_base():
                       residual="t3", covariate_dist="cauchy")
     with pytest.raises(ValueError):
         build_cell(base, cfg2)
-
-
-def test_export_science_table_roundtrip(tmp_path):
-    base = gen_base_tables(20, "t3", 6)
-    cfg = CellConfig(n=20, r1=0.35, alpha=0.1, delta=0.25, gamma=0.5, residual="t3")
-    table = build_cell(base, cfg)
-    path = tmp_path / "table.csv"
-    export_science_table_csv(table, path)
-    raw = np.loadtxt(path, delimiter=",", skiprows=1)
-    header = path.read_text().splitlines()[0].split(",")
-    assert header == ["Y1", "Y0", "X_1", "X_2"]
-    np.testing.assert_allclose(raw[:, 0], table.y1, rtol=0, atol=0)
-    np.testing.assert_allclose(raw[:, 1], table.y0, rtol=0, atol=0)
-    np.testing.assert_allclose(raw[:, 2:], table.x, rtol=0, atol=0)

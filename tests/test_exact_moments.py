@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from exact_moments import plugin_moment_means, variance_estimate_means
+from exact_moments import dense_b, plugin_moment_means, variance_estimate_means
 from randadj.design import build_hat_structure, enumerate_assignments, substream
 from randadj.estimators import ScienceTable, observe
-from randadj.finitepop import diag_split
 from randadj.inference import (
     estimate_variance,
     sample_cross_offdiag,
@@ -18,8 +17,8 @@ from randadj.inference import (
 def _statistics(table, data) -> dict[str, float]:
     hat = table.hat
     out = {}
-    for name, mat in (("H", hat.h), ("Q", hat.q), ("B", hat.b)):
-        hollow = diag_split(mat)[1]
+    for name, mat in (("H", hat.h), ("Q", hat.q), ("B", dense_b(hat))):
+        hollow = mat - np.diag(np.diag(mat))
         for z in (1, 0):
             out[f"diag {name} arm {z}"] = sample_diag_quadratic(mat, data, z)
             out[f"hollow {name} arm {z}"] = sample_offdiag_quadratic(hollow, data, z)

@@ -2,9 +2,6 @@ import numpy as np
 import pytest
 
 from randadj.finitepop import (
-    diag_split,
-    empirical_mean,
-    sample_covariance,
     sample_variance,
     scale,
     scaled_covariance,
@@ -16,14 +13,6 @@ def test_sample_variance_hand_value():
     # divisor n-1: var(1,2,3,4) = 5/3
     a = np.array([1.0, 2.0, 3.0, 4.0])
     assert sample_variance(a) == pytest.approx(5.0 / 3.0, rel=1e-15)
-    assert empirical_mean(a) == pytest.approx(2.5)
-
-
-def test_sample_covariance_hand_value():
-    a = np.array([1.0, 2.0, 3.0, 4.0])
-    b = np.array([2.0, 4.0, 6.0, 8.0])
-    assert sample_covariance(a, b) == pytest.approx(10.0 / 3.0, rel=1e-15)
-    assert sample_covariance(a, a) == pytest.approx(sample_variance(a), rel=1e-15)
 
 
 def test_sample_moments_match_numpy():
@@ -31,11 +20,7 @@ def test_sample_moments_match_numpy():
     for _ in range(20):
         n = int(rng.integers(2, 60))
         a = rng.standard_normal(n)
-        b = rng.standard_normal(n)
         assert sample_variance(a) == pytest.approx(np.var(a, ddof=1), rel=1e-12)
-        assert sample_covariance(a, b) == pytest.approx(
-            np.cov(a, b, ddof=1)[0, 1], rel=1e-12
-        )
 
 
 def _scaled_variance_loop(a_mat, v):
@@ -130,21 +115,6 @@ def test_scaled_covariance_symmetric_weight_is_symmetric():
     )
 
 
-def test_diag_split_reassembles():
-    rng = np.random.default_rng(14)
-    n = 11
-    a_mat = rng.standard_normal((n, n))
-    d, hollow = diag_split(a_mat)
-    assert np.all(np.diag(hollow) == 0.0)
-    assert np.all(d[~np.eye(n, dtype=bool)] == 0.0)
-    np.testing.assert_allclose(d + hollow, a_mat, rtol=0, atol=0)
-    # the weighted moment splits along with the matrix
-    v = rng.standard_normal(n)
-    assert scaled_variance(a_mat, v) == pytest.approx(
-        scaled_variance(d, v) + scaled_variance(hollow, v), rel=1e-10, abs=1e-12
-    )
-
-
 def test_scale_contract():
     rng = np.random.default_rng(15)
     a = rng.standard_normal(40)
@@ -174,7 +144,7 @@ def test_population_vector_validation():
     with pytest.raises(ValueError):
         sample_variance(np.array([1.0, np.nan, 2.0]))
     with pytest.raises(ValueError):
-        sample_covariance(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+        scaled_covariance(np.eye(2), np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
 
 
 def test_weight_matrix_validation():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from exact_moments import dense_b
 from randadj.design import (
     Assignment,
     build_hat_structure,
@@ -14,6 +15,7 @@ from randadj.inference import (
     LeverageOneError,
     efficiency_bounds,
     estimate_variance,
+    hat_forms,
     hc3_variance,
     necessary_bound,
     neyman_variance_unadj,
@@ -110,7 +112,7 @@ def test_linear_component_rewrites_as_b_weighted_variance():
         ov = oracle_variances(table, r1)
         v = table.y1 / r1 + table.y0 / r0
         assert ov.sigma_hd_l2 == pytest.approx(
-            r1 * r0 * scaled_variance(table.hat.b, v), rel=1e-9
+            r1 * r0 * scaled_variance(dense_b(table.hat), v), rel=1e-9
         )
 
 
@@ -209,10 +211,31 @@ def test_efficiency_bounds_ordering():
 # ------------------------------------------------- sample moment estimators
 
 
-def _loop_diag(dmat, y, z_mask, scale_out=1.0):
+@pytest.mark.parametrize("n", [8, 60, 400])
+def test_hat_forms_match_dense_matrices(n):
+    rng = substream(66, n)
+    p = max(1, n // 5)
+    hat = build_hat_structure(rng.standard_t(3, size=(n, p)))
+    b_mat = dense_b(hat)
+    # the dense reference is the Gram of the debiased-residual map itself
+    pmat = np.eye(n) - 1.0 / n
+    m_map = pmat - hat.h + pmat @ np.diag(hat.leverages)
+    np.testing.assert_allclose(b_mat, m_map.T @ m_map, rtol=0, atol=1e-12)
+
+    u = rng.standard_normal((3, n))
+    u[1] *= rng.standard_t(3, size=n)
+    forms = hat_forms(hat, u)
+    for (hollow, diag), mat in zip(forms, (hat.h, hat.q, b_mat)):
+        d = np.diag(mat)
+        for got, want in ((hollow, u @ (mat - np.diag(d)) @ u.T), (diag, (u * d) @ u.T)):
+            err = np.abs(got - want).max() / np.abs(want).max()
+            assert err <= 1e-12
+
+
+def _loop_diag(dmat, y, z_mask):
     idx = np.flatnonzero(z_mask)
     ybar = y[idx].mean()
-    total = sum(dmat[i, i] * (scale_out * (y[i] - ybar)) ** 2 for i in idx)
+    total = sum(dmat[i, i] * (y[i] - ybar) ** 2 for i in idx)
     return total / len(idx)
 
 
@@ -262,24 +285,6 @@ def test_sample_moments_match_loop_oracle_on_every_assignment():
             )
         got3 = sample_cross_offdiag(hollow, data)
         assert got3 == pytest.approx(_loop_cross(hollow, data.y, asg.z, n), rel=1e-11, abs=1e-13)
-
-
-def test_sample_diag_quadratic_scale_out():
-    rng = substream(68)
-    table = _random_table(rng, 10, 1)
-    data = observe(table, complete_randomization(10, 4, rng))
-    base = sample_diag_quadratic(table.hat.q, data, 1)
-    doubled = sample_diag_quadratic(table.hat.q, data, 1, scale_out=2.0)
-    assert doubled == pytest.approx(4.0 * base, rel=1e-12)
-
-
-def test_sample_diag_quadratic_accepts_diag_vector():
-    rng = substream(69)
-    table = _random_table(rng, 10, 1)
-    data = observe(table, complete_randomization(10, 5, rng))
-    full = sample_diag_quadratic(table.hat.b, data, 0)
-    vec = sample_diag_quadratic(np.diag(table.hat.b), data, 0)
-    assert full == pytest.approx(vec, rel=1e-12)
 
 
 def test_offdiag_ignores_diagonal_entries():

@@ -1,0 +1,71 @@
+"""Property tests of the per-assignment estimates (hypothesis).
+
+Each example draws a small experiment from a numpy seed chosen by
+hypothesis; the run is derandomized, so the examples are the same on every
+run.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from randadj.design import Assignment, build_hat_structure
+from randadj.estimators import ObservedData
+from randadj.harness import replicate_estimates
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@st.composite
+def experiments(draw):
+    """(y, z, x): n in [8, 40], p below both arm sizes, t3 covariates."""
+    n = draw(st.integers(8, 40))
+    n1 = draw(st.integers(3, n - 3))
+    p = draw(st.integers(1, min(n1, n - n1) - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_t(3, size=(n, p))
+    y = x @ rng.standard_normal(p) + rng.standard_t(3, size=n)
+    z = np.zeros(n, dtype=bool)
+    z[rng.permutation(n)[:n1]] = True
+    return y, z, x
+
+
+def _estimates(y, z, x):
+    data = ObservedData(y=y, assignment=Assignment(z=z, n=len(z), n1=int(z.sum())),
+                        x=x, hat=build_hat_structure(x))
+    return replicate_estimates(data)
+
+
+@PROPERTY_SETTINGS
+@given(experiments(),
+       st.floats(0.01, 100.0) | st.floats(-100.0, -0.01),
+       st.floats(-100.0, 100.0))
+def test_estimates_are_affine_equivariant_in_y(exp, a, b):
+    y, z, x = exp
+    points, variances, na = _estimates(y, z, x)
+    points2, variances2, na2 = _estimates(a * y + b, z, x)
+    assert na2 == na and points2.keys() == points.keys()
+    scale = np.abs(y).max()
+    for key, value in points.items():
+        assert points2[key] == pytest.approx(a * value, rel=1e-9,
+                                             abs=1e-9 * (abs(a) * scale + abs(b)))
+    assert variances2.keys() == variances.keys()
+    assert variances2.pop("cb_clamped") == variances.pop("cb_clamped")
+    for key, value in variances.items():
+        assert variances2[key] == pytest.approx(a * a * value, rel=1e-8,
+                                                abs=1e-9 * (a * scale) ** 2)
+
+
+@PROPERTY_SETTINGS
+@given(experiments(), st.randoms(use_true_random=False))
+def test_estimates_are_invariant_to_unit_order(exp, random):
+    y, z, x = exp
+    order = list(range(len(y)))
+    random.shuffle(order)
+    points, variances, na = _estimates(y, z, x)
+    points2, variances2, na2 = _estimates(y[order], z[order], x[order])
+    # an HC3 reason names a unit by its index, so compare which failed
+    assert na2.keys() == na.keys()
+    assert points2 == pytest.approx(points, rel=1e-9, abs=1e-12)
+    assert variances2 == pytest.approx(variances, rel=1e-9, abs=1e-12)
