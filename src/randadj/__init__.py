@@ -30,7 +30,6 @@ from .dgp import (
 from .estimators import (
     ObservedData,
     ScienceTable,
-    beta_hat_pooled,
     debias_correction,
     observe,
     tau_adj,

@@ -64,6 +64,7 @@ _GUARD_ERRORS = (
     ArmSingularError,
     LeverageOneError,
     DegenerateResidualError,
+    FloatingPointError,
 )
 
 
@@ -162,6 +163,9 @@ def _validate_config(cfg: dict) -> None:
             cfg[key] = [float(v) for v in cfg[key]]
     except OverflowError as err:
         raise ConfigError(f"malformed config value: {err}") from err
+    for key in ("r1", "level", "alphas", "deltas", "gammas"):
+        if not np.all(np.isfinite(cfg[key])):
+            raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
     if cfg["n"] < 8:
         raise ConfigError("n must be at least 8")
     if cfg["seed"] < 0:
@@ -291,7 +295,8 @@ def cmd_analyze(args) -> int:
     n = y.shape[0]
     hat = build_hat_structure(x)
     asg = Assignment(z=z, n=n, n1=int(z.sum()))
-    points, variances, na = replicate_estimates(ObservedData(y=y, assignment=asg, x=x, hat=hat))
+    with np.errstate(over="raise", invalid="raise"):  # exit 3, not inf or nan estimates
+        points, variances, na = replicate_estimates(ObservedData(y=y, assignment=asg, x=x, hat=hat))
 
     # a row carries `na` when its point is undefined, and `ci_na` when the
     # point is defined but its paired variance is not

@@ -1,8 +1,9 @@
 """Experimental design: hat-matrix geometry and complete randomization.
 
 The hat matrix of a centered covariate matrix drives everything downstream:
-leverage-based debiasing, the quadratic variance component, and the
-matrix B that appears in the linear variance component.
+the regression-adjusted point estimates, leverage-based debiasing, the
+quadratic variance component, and the matrix B that appears in the linear
+variance component.
 
     H_ij = (n-1)^-1 (X_i - Xbar)' S_X^-2 (X_j - Xbar)
     Q    = H.^2 off the diagonal, Q_ii = H_ii - H_ii^2
@@ -15,15 +16,15 @@ Because PH = HP = H and H^2 = H, B has the closed form
     B_ij = (1 + D_i) (1 + D_j) (delta_ij - 1/n) - (1 + D_i + D_j) H_ij,
     B_ii = -(1 + 1/n) (1 + D_i)^2 + 3 (1 + D_i) - 1,
 
-so B is never formed: randadj.inference.hat_forms evaluates its
-bilinear forms from one product with H.
+so B is never formed: hat_forms evaluates the bilinear forms of H, Q and
+B over any set of rows from one product of those rows with H.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -63,9 +64,11 @@ def substream(seed, *subkeys: int) -> np.random.Generator:
 class HatStructure:
     """Hat matrix of a covariate matrix together with derived quantities.
 
+    The bundle holds two n x n matrices, H and Q; B's forms come from H
+    (see hat_forms).
+
     Fields
     ------
-    x_mean : column means of the raw covariates
     xc : centered covariates, n x p
     h : hat matrix (projection onto the centered column span), n x n
     leverages : diag(h)
@@ -73,7 +76,6 @@ class HatStructure:
     alpha : covariate dimension ratio p/n
     """
 
-    x_mean: np.ndarray
     xc: np.ndarray
     h: np.ndarray
     leverages: np.ndarray
@@ -81,12 +83,6 @@ class HatStructure:
     alpha: float
     n: int
     p: int
-    # Cholesky factor of the centered Gram xc'xc, kept for O(p^2) solves
-    gram_chol: tuple | None = field(repr=False, default=None)
-
-    def solve_gram(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (xc'xc) v = rhs via the cached Cholesky factor."""
-        return cho_solve(self.gram_chol, rhs)
 
 
 def build_hat_structure(X) -> HatStructure:
@@ -106,8 +102,7 @@ def build_hat_structure(X) -> HatStructure:
     if not np.all(np.isfinite(X)):
         raise ValueError("covariate matrix contains non-finite entries")
 
-    x_mean = X.mean(axis=0)
-    xc = X - x_mean
+    xc = X - X.mean(axis=0)
     gram = xc.T @ xc
     evals = np.linalg.eigvalsh(gram)
     if evals[0] <= 0 or evals[0] / evals[-1] < COND_EPS:
@@ -124,10 +119,49 @@ def build_hat_structure(X) -> HatStructure:
     q = h * h
     np.fill_diagonal(q, lev - lev**2)
 
-    return HatStructure(
-        x_mean=x_mean, xc=xc, h=h, leverages=lev, q=q,
-        alpha=p / n, n=n, p=p, gram_chol=chol,
-    )
+    return HatStructure(xc=xc, h=h, leverages=lev, q=q, alpha=p / n, n=n, p=p)
+
+
+def _hollow(D: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bilinear forms over the rows of u, split at the diagonal of D.
+
+    Returns (hollow, diagonal) with hollow[a, b] = sum_{i != j} u_ai D_ij u_bj
+    and diagonal[a, b] = sum_i D_ii u_ai u_bi.  D is read once, as one
+    product with all rows of u.
+    """
+    diagonal = (u * np.diagonal(D)) @ u.T
+    return (u @ D) @ u.T - diagonal, diagonal
+
+
+def hat_forms(hat: HatStructure, u: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(hollow, diagonal) bilinear forms of H, Q and B over the rows of u.
+
+    Returns ((hollow_H, diag_H), (hollow_Q, diag_Q), (hollow_B, diag_B)),
+    each a k x k matrix for u of shape k x n, split as in _hollow.  B is
+    never formed: with g = 1 + diag{H}, G = diag{g}, the one product
+    uh = u H and the Gram e = v v' of v = [u; G u] give
+
+        m_UU = uh u',  m_GU = (G u) uh',
+        u H u'         = m_UU,  diagonal e_GU - e_UU,
+        u B u'         = e_GG - s s'/n - m_GU - m_GU' + m_UU,
+        diagonal of B: 3 e_GU - e_UU - (1 + 1/n) e_GG,
+
+    where s holds the row sums of G u (B = GPG - GH - HG + H).  Q is read
+    once, as in _hollow.
+    """
+    k, n = u.shape
+    g = 1.0 + hat.leverages
+    v = np.concatenate((u, u * g))
+    uh = u @ hat.h
+    e = v @ v.T
+    e_uu, e_gu, e_gg = e[:k, :k], e[k:, :k], e[k:, k:]
+    full_h = uh @ u.T
+    m_gu = v[k:] @ uh.T
+    s = u @ g
+    diag_h = e_gu - e_uu
+    full_b = e_gg - s[:, None] * (s / n) - m_gu - m_gu.T + full_h
+    diag_b = 3.0 * e_gu - e_uu - (1.0 + 1.0 / n) * e_gg
+    return (full_h - diag_h, diag_h), _hollow(hat.q, u), (full_b - diag_b, diag_b)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .design import Assignment, HatStructure
+from .design import Assignment, HatStructure, hat_forms
 
 
 class ArmSingularError(ValueError):
@@ -84,75 +84,86 @@ def observe(table: ScienceTable, assignment: Assignment) -> ObservedData:
     return ObservedData(y=y, assignment=assignment, x=table.x, hat=table.hat)
 
 
-def _arm_means(data: ObservedData) -> tuple[float, float]:
-    z = data.z
-    return float(data.y[z].mean()), float(data.y[~z].mean())
-
-
 def tau_unadj(data: ObservedData) -> float:
     """Difference in arm means."""
-    ybar1, ybar0 = _arm_means(data)
-    return ybar1 - ybar0
-
-
-def beta_hat_pooled(data: ObservedData, arm: int) -> np.ndarray:
-    """Pooled-covariance slope for one arm.
-
-    Solves S_X^2 beta = s_{X,Y(arm)}, where the right-hand side is the
-    arm's sample covariance (divisor n_z - 1) between the covariates
-    centered at the *pooled* mean and the observed outcomes.
-    """
-    if arm not in (0, 1):
-        raise ValueError("arm must be 0 or 1")
-    z = data.z if arm == 1 else ~data.z
-    nz = int(z.sum())
-    if nz < 2:
-        raise ArmSingularError(arm, f"needs at least 2 units, got {nz}")
-    ya = data.y[z]
-    rhs = data.hat.xc[z].T @ (ya - ya.mean())
-    return (data.hat.n - 1) / (nz - 1) * data.hat.solve_gram(rhs)
-
-
-def _tau_regadj(data: ObservedData, beta1: np.ndarray, beta0: np.ndarray) -> float:
-    # mean_{arm z} of Y_i - beta_z'(X_i - Xbar), with the pooled mean Xbar
     z = data.z
-    t1 = data.y[z].mean() - data.hat.xc[z].mean(axis=0) @ beta1
-    t0 = data.y[~z].mean() - data.hat.xc[~z].mean(axis=0) @ beta0
-    return float(t1 - t0)
+    return float(data.y[z].mean()) - float(data.y[~z].mean())
 
 
-def tau_adj(data: ObservedData) -> float:
-    """Regression-adjusted estimator with pooled-covariance slopes."""
-    return _tau_regadj(data, beta_hat_pooled(data, 1), beta_hat_pooled(data, 0))
+def _centred(data: ObservedData, arms) -> np.ndarray:
+    """One row per arm: Y_i - Ybar_arm on the arm, 0 elsewhere."""
+    u = np.zeros((len(arms), data.assignment.n))
+    for row, arm in zip(u, arms):
+        if arm not in (0, 1):
+            raise ValueError("arm must be 0 or 1")
+        z = data.z if arm == 1 else ~data.z
+        yz = data.y[z]
+        row[z] = yz - yz.mean()
+    return u
 
 
-def debias_correction(data: ObservedData) -> float:
+@dataclass(frozen=True)
+class ArmForms:
+    """hat_forms' (hollow, diagonal) pairs of H, Q and B over the rows
+    (u1, u0, z) of one assignment, with (u1, u0) = _centred(data, (1, 0)) and
+    z the 0/1 treated indicator, and lev_u = (u1, u0) @ diag{H}."""
+
+    h: tuple[np.ndarray, np.ndarray]
+    q: tuple[np.ndarray, np.ndarray]
+    b: tuple[np.ndarray, np.ndarray]
+    lev_u: np.ndarray
+
+
+def arm_forms(data: ObservedData) -> ArmForms:
+    """One product with H for every hat form an assignment needs."""
+    u = _centred(data, (1, 0))
+    h, q, b = hat_forms(data.hat, np.vstack((u, data.z)))
+    return ArmForms(h=h, q=q, b=b, lev_u=u @ data.hat.leverages)
+
+
+def tau_adj(data: ObservedData, forms: ArmForms | None = None) -> float:
+    """Regression-adjusted estimator with pooled-covariance slopes, with no
+    p-dimensional solve: arm z's adjustment is Xbar_z' beta_z = (n-1) /
+    (n_z (n_z-1)) 1_z' H u_z, and as H1 = 0 the H form over (u1, u0, z)
+    holds 1_1' H u1 at [2, 0] and -1_0' H u0 at [2, 1].  Raises
+    ArmSingularError when an arm has fewer than 2 units."""
+    asg = data.assignment
+    for arm, nz in ((1, asg.n1), (0, asg.n0)):
+        if nz < 2:
+            raise ArmSingularError(arm, f"needs at least 2 units, got {nz}")
+    if forms is None:
+        forms = arm_forms(data)
+    hollow, diagonal = forms.h
+    f1, f0 = (hollow[2, :2] + diagonal[2, :2]).tolist()
+    return tau_unadj(data) - (asg.n - 1) * (
+        f1 / (asg.n1 * (asg.n1 - 1)) + f0 / (asg.n0 * (asg.n0 - 1)))
+
+
+def debias_correction(data: ObservedData, forms: ArmForms | None = None) -> float:
     """Leverage correction removing the O(p/n) bias of tau_adj.
 
     r1 r0 [ n1^-1 sum_{treated} H_ii (Y_i - Ybar_1) / r1^2
           - n0^-1 sum_{control} H_ii (Y_i - Ybar_0) / r0^2 ].
     """
+    if forms is None:
+        forms = arm_forms(data)
     asg = data.assignment
-    z = data.z
-    lev = data.hat.leverages
-    ybar1, ybar0 = _arm_means(data)
-    t1 = lev[z] @ (data.y[z] - ybar1) / asg.n1 / asg.r1**2
-    t0 = lev[~z] @ (data.y[~z] - ybar0) / asg.n0 / asg.r0**2
-    return float(asg.r1 * asg.r0 * (t1 - t0))
+    t1, t0 = forms.lev_u.tolist()
+    return asg.r1 * asg.r0 * (t1 / asg.n1 / asg.r1**2 - t0 / asg.n0 / asg.r0**2)
 
 
 def tau_db(data: ObservedData) -> float:
     """Debiased regression-adjusted estimator."""
-    return tau_adj(data) + debias_correction(data)
+    forms = arm_forms(data)
+    return tau_adj(data, forms) + debias_correction(data, forms)
 
 
 @dataclass(frozen=True)
 class LinFit:
-    """Arm-specific OLS fits: slopes, in-arm residuals (arm order), and the
+    """Arm-specific OLS fits: tau_lin, in-arm residuals (arm order), and the
     arm-centered Grams' Cholesky factors, each with L in its lower triangle."""
 
-    beta1: np.ndarray
-    beta0: np.ndarray
+    tau: float
     resid1: np.ndarray
     resid0: np.ndarray
     chol1: np.ndarray
@@ -172,16 +183,20 @@ def lin_fit(data: ObservedData) -> LinFit:
         if nz <= p:
             raise ArmSingularError(arm, f"n_z = {nz} <= p = {p}")
         xa = data.hat.xc[z]
-        xa = xa - xa.mean(axis=0)
+        xbar = xa.mean(axis=0)
+        xa = xa - xbar
         ya = data.y[z]
-        yc = ya - ya.mean()
-        try:
-            chol = cho_factor(xa.T @ xa, lower=True)
-        except np.linalg.LinAlgError as err:
-            raise ArmSingularError(arm, str(err)) from err
-        beta = cho_solve(chol, xa.T @ yc)
-        out[arm] = (beta, yc - xa @ beta, chol[0])
-    return LinFit(beta1=out[1][0], beta0=out[0][0], resid1=out[1][1], resid0=out[0][1],
+        ybar = ya.mean()
+        yc = ya - ybar
+        # LAPACK directly: scipy's cho_factor/cho_solve cost ~30 us a call at small p
+        chol, info = dpotrf(xa.T @ xa, lower=1)
+        if info:
+            raise ArmSingularError(
+                arm, f"{info}-th leading minor of the array is not positive definite")
+        beta = dpotrs(chol, xa.T @ yc, lower=1)[0]
+        # the arm's mean of Y_i - beta'(X_i - Xbar), with the pooled mean Xbar
+        out[arm] = (ybar - xbar @ beta, yc - xa @ beta, chol)
+    return LinFit(tau=float(out[1][0] - out[0][0]), resid1=out[1][1], resid0=out[0][1],
                   chol1=out[1][2], chol0=out[0][2])
 
 
@@ -189,7 +204,7 @@ def tau_lin(data: ObservedData, fit: LinFit | None = None) -> float:
     """Regression adjustment with arm-specific OLS slopes."""
     if fit is None:
         fit = lin_fit(data)
-    return _tau_regadj(data, fit.beta1, fit.beta0)
+    return fit.tau
 
 
 def tau_lin_db(data: ObservedData, fit: LinFit | None = None) -> float:

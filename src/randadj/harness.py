@@ -25,12 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import complete_randomization, enumerate_assignments, substream
+from .design import complete_randomization, enumerate_assignments, hat_forms, substream
 from .dgp import BaseTables, CellConfig, _PURPOSE_ASSIGN, build_cell, cell_key
 from .estimators import (
     ArmSingularError,
     ObservedData,
     ScienceTable,
+    arm_forms,
     debias_correction,
     lin_fit,
     observe,
@@ -43,7 +44,6 @@ from .inference import (
     LeverageOneError,
     OracleVariances,
     estimate_variance,
-    hat_forms,
     hc3_variance,
     neyman_variance_unadj,
     oracle_variances,
@@ -113,12 +113,13 @@ def replicate_estimates(data: ObservedData) -> tuple[dict, dict, dict]:
     na: dict[str, str] = {}
 
     points["unadj"] = tau_unadj(data)
-    adj = tau_adj(data)
+    forms = arm_forms(data)
+    adj = tau_adj(data, forms)
     points["hd_undb"] = adj
-    points["hd"] = adj + debias_correction(data)
+    points["hd"] = adj + debias_correction(data, forms)
 
     variances["neyman"] = neyman_variance_unadj(data)
-    est = estimate_variance(data)
+    est = estimate_variance(data, forms)
     variances["cb"] = est.combined
     variances["cb_clamped"] = 1.0 if est.clamped else 0.0
 
@@ -223,8 +224,14 @@ def _z_value(level: float) -> float:
 
 def _cell_task(args) -> CellResult:
     base, cfg, reps, seed, level = args
-    table = build_cell(base, cfg)
-    return run_cell(table, cfg, reps, seed, level)
+    # a table too large for its moments fails the run instead of writing
+    # inf or nan metrics
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            return run_cell(build_cell(base, cfg), cfg, reps, seed, level)
+        except FloatingPointError as err:
+            raise FloatingPointError(f"cell alpha={cfg.alpha}, delta={cfg.delta}, "
+                                     f"gamma={cfg.gamma}: {err}") from err
 
 
 def run_factorial(

@@ -19,8 +19,8 @@ import numpy as np
 from scipy.linalg.blas import dtrsm
 from scipy.special import ndtri
 
-from .design import HatStructure
-from .estimators import LinFit, ObservedData, ScienceTable, lin_fit
+from .design import _hollow, hat_forms
+from .estimators import ArmForms, LinFit, ObservedData, ScienceTable, _centred, arm_forms, lin_fit
 from .finitepop import sample_variance, scaled_variance
 
 
@@ -51,10 +51,6 @@ class ResidualSet:
     @property
     def tau_e(self) -> np.ndarray:
         return self.e1 - self.e0
-
-    @property
-    def tau_s(self) -> np.ndarray:
-        return self.s1 - self.s0
 
 
 def residuals(table: ScienceTable) -> ResidualSet:
@@ -185,7 +181,7 @@ def efficiency_bounds(table: ScienceTable, r1: float) -> EfficiencyBounds:
         gamma = sample_variance(table.y1 - table.y0) / (
             2 * sample_variance((table.y1 + table.y0) / 2)
         )
-        r_l2 = float(nec + a * (1 - a) / (1 + 2 * a) * gamma)
+        r_l2 = float(rl2_curve(a, gamma))
     return EfficiencyBounds(necessary_r2=float(nec), sufficient_r2=float(suf), r_l2=r_l2)
 
 
@@ -197,73 +193,15 @@ def rl2_curve(alphas, gamma: float) -> np.ndarray:
     alpha -> 1 regardless of gamma.
     """
     a = np.asarray(alphas, dtype=float)
-    if np.any((a < 0) | (a > 1)):
-        raise ValueError("alpha grid must lie in [0, 1]")
+    nec = necessary_bound(a)
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    return (a**2 + 2 * a) / (1 + 2 * a) + a * (1 - a) / (1 + 2 * a) * gamma
+    return nec + a * (1 - a) / (1 + 2 * a) * gamma
 
 
 # ---------------------------------------------------------------------------
 # sample moments of weighted quadratic forms
 # ---------------------------------------------------------------------------
-
-def _arm_mask(data: ObservedData, arm: int) -> np.ndarray:
-    if arm not in (0, 1):
-        raise ValueError("arm must be 0 or 1")
-    return data.z if arm == 1 else ~data.z
-
-
-def _centred(data: ObservedData, arms) -> np.ndarray:
-    """One row per arm: Y_i - Ybar_arm on the arm, 0 elsewhere."""
-    u = np.zeros((len(arms), data.assignment.n))
-    for row, arm in zip(u, arms):
-        z = _arm_mask(data, arm)
-        yz = data.y[z]
-        row[z] = yz - yz.mean()
-    return u
-
-
-def _hollow(D: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bilinear forms over the rows of u, split at the diagonal of D.
-
-    Returns (hollow, diagonal) with hollow[a, b] = sum_{i != j} u_ai D_ij u_bj
-    and diagonal[a, b] = sum_i D_ii u_ai u_bi.  D is read once, as one
-    product with all rows of u.
-    """
-    diagonal = (u * np.diagonal(D)) @ u.T
-    return (u @ D) @ u.T - diagonal, diagonal
-
-
-def hat_forms(hat: HatStructure, u: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(hollow, diagonal) bilinear forms of H, Q and B over the rows of u.
-
-    Returns ((hollow_H, diag_H), (hollow_Q, diag_Q), (hollow_B, diag_B)),
-    each a k x k matrix for u of shape k x n, split as in _hollow.  B is
-    never formed: with g = 1 + diag{H}, G = diag{g} and v = [u; G u],
-    one product m = v H v' and the Gram e = v v' give
-
-        u H u'         = m_UU,  diagonal e_GU - e_UU,
-        u B u'         = e_GG - s s'/n - m_GU - m_GU' + m_UU,
-        diagonal of B: 3 e_GU - e_UU - (1 + 1/n) e_GG,
-
-    where s holds the row sums of G u (B = GPG - GH - HG + H, see
-    randadj.design).  Q is read once, as in _hollow.
-    """
-    k, n = u.shape
-    g = 1.0 + hat.leverages
-    v = np.concatenate((u, u * g))
-    m = (v @ hat.h) @ v.T
-    e = v @ v.T
-    e_uu, e_gu, e_gg = e[:k, :k], e[k:, :k], e[k:, k:]
-    m_gu = m[k:, :k]
-    s = u @ g
-    full_h = m[:k, :k]
-    diag_h = e_gu - e_uu
-    full_b = e_gg - s[:, None] * (s / n) - m_gu - m_gu.T + full_h
-    diag_b = 3.0 * e_gu - e_uu - (1.0 + 1.0 / n) * e_gg
-    return (full_h - diag_h, diag_h), _hollow(hat.q, u), (full_b - diag_b, diag_b)
-
 
 def _arm_size(data: ObservedData, arm: int) -> int:
     return data.assignment.n1 if arm == 1 else data.assignment.n0
@@ -317,20 +255,21 @@ class VarianceEstimate:
     clamped: bool
 
 
-def estimate_variance(data: ObservedData) -> VarianceEstimate:
+def estimate_variance(data: ObservedData, forms: ArmForms | None = None) -> VarianceEstimate:
     """Assignment-based estimate of the many-covariate variance.
 
     Every ingredient is a sample moment over one arm or over the two arms'
     off-diagonal pairs, weighted by entries of H, Q, or B; only observed
     outcomes enter.
     """
-    hat = data.hat
+    if forms is None:
+        forms = arm_forms(data)
     asg = data.assignment
     r1, r0 = asg.r1, asg.r0
-    # rows (arm 1, arm 0): the diagonal entries of each form are the
-    # single-arm moments, its [0, 1] entry the cross-arm one
+    # rows (arm 1, arm 0, z): the first two diagonal entries of each form
+    # are the single-arm moments, its [0, 1] entry the cross-arm one
     (oh, _), (oq, dq), (ob, db) = (
-        (m.tolist() for m in pair) for pair in hat_forms(hat, _centred(data, (1, 0))))
+        (m.tolist() for m in pair) for pair in (forms.h, forms.q, forms.b))
 
     i1 = i2 = i3_upper = i3_upper_prime = 0.0
     for k, rz, nz in ((0, r1, asg.n1), (1, r0, asg.n0)):
@@ -389,8 +328,8 @@ def hc3_variance(data: ObservedData, fit: LinFit | None = None) -> float:
         fit = lin_fit(data)
     n = data.assignment.n
     total = 0.0
-    for arm, resid, chol in ((1, fit.resid1, fit.chol1), (0, fit.resid0, fit.chol0)):
-        mask = _arm_mask(data, arm)
+    for arm, mask, resid, chol in ((1, data.z, fit.resid1, fit.chol1),
+                                   (0, ~data.z, fit.resid0, fit.chol0)):
         nz = int(mask.sum())
         # BLAS trsm: LAPACK trtrs takes ~0.5 ms per tiny solve under threaded OpenBLAS
         c = dtrsm(1.0, chol, data.hat.xc[mask].T, lower=1)

@@ -404,3 +404,61 @@ def test_simulate_rejects_integer_too_large_for_a_float(capsys, tmp_path):
     assert code == 2
     msg = json.loads(err)
     assert msg["error"] == "config" and "too large" in msg["message"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("deltas", [float("nan")]),
+    ("deltas", [float("inf")]),
+    ("gammas", [float("nan")]),
+    ("alphas", [0.1, float("-inf")]),
+    ("r1", float("nan")),
+    ("level", float("inf")),
+])
+def test_simulate_rejects_non_finite_config_numbers(capsys, tmp_path, key, value):
+    # json writes these as NaN / Infinity, which Python's json reads back
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(TINY_CONFIG, **{key: value})))
+    code, _, err = _run(capsys, ["simulate", "--config", str(cfg_path),
+                                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    msg = json.loads(err)
+    assert msg["error"] == "config" and msg["message"].startswith(f"{key} must be finite")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("key, value", [
+    ("deltas", [1e308]),
+    ("deltas", [1e306]),
+    ("gammas", [1e-320]),
+    ("gammas", [1e-300]),
+])
+def test_simulate_overflowing_table_exits_3(capsys, tmp_path, key, value, threads):
+    """A finite config whose table or moments overflow fails, and writes no
+    inf or nan metrics."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(TINY_CONFIG, alphas=[0.1, 0.2], **{key: value})))
+    out_dir = tmp_path / "out"
+    code, _, err = _run(capsys, ["simulate", "--config", str(cfg_path),
+                                 "--out", str(out_dir), "--threads", threads])
+    assert code == 3
+    assert len(err.splitlines()) == 1
+    msg = json.loads(err)
+    assert msg["error"] == "FloatingPointError" and "overflow" in msg["message"]
+    assert not (out_dir / "results.csv").exists()
+
+
+def test_analyze_outcomes_too_large_for_their_moments_exit_3(capsys, tmp_path):
+    in_path = tmp_path / "obs.csv"
+    y, z, x = _write_observed(in_path)
+    with open(in_path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["Y", "Z", "X_1", "X_2"])
+        for i in range(len(y)):
+            w.writerow([f"{1e160 * y[i]:.17g}", int(z[i])] + [f"{v:.17g}" for v in x[i]])
+    out_path = tmp_path / "report.json"
+    code, _, err = _run(capsys, ["analyze", "--input", str(in_path), "--out", str(out_path)])
+    assert code == 3
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "FloatingPointError"
+    assert not out_path.exists()

@@ -9,9 +9,9 @@ from randadj.design import (
     build_hat_structure,
     complete_randomization,
     enumerate_assignments,
+    hat_forms,
     substream,
 )
-from randadj.inference import hat_forms
 
 # Hand-derived projection pieces for X = (0, 1, 2)^T.
 HAND_X = np.array([[0.0], [1.0], [2.0]])
@@ -84,17 +84,6 @@ def test_hat_affine_invariance():
     h1 = build_hat_structure(x).h
     h2 = build_hat_structure(x2).h
     np.testing.assert_allclose(h1, h2, atol=1e-8)
-
-
-def test_gram_solver_solves_centered_gram():
-    rng = np.random.default_rng(23)
-    n, p = 25, 4
-    x = rng.standard_normal((n, p))
-    hat = build_hat_structure(x)
-    rhs = rng.standard_normal(p)
-    sol = hat.solve_gram(rhs)
-    xc = hat.xc
-    np.testing.assert_allclose(xc.T @ xc @ sol, rhs, atol=1e-9)
 
 
 def test_singular_covariates_rejected():

@@ -11,7 +11,6 @@ from randadj.design import (
 from randadj.estimators import (
     ArmSingularError,
     ScienceTable,
-    beta_hat_pooled,
     debias_correction,
     lin_fit,
     observe,
@@ -68,17 +67,22 @@ def test_enumeration_unbiasedness_and_variance():
     assert np.var(ests) == pytest.approx(want, rel=1e-10)
 
 
-def test_beta_hat_pooled_against_direct_solve():
-    rng = substream(43)
-    table = _random_table(rng, 40, 3)
-    data = _assign(table, 17, rng)
+@pytest.mark.parametrize("n, p, n1", [(40, 3, 17), (30, 12, 8)])
+def test_tau_adj_against_pooled_slope_solve(n, p, n1):
+    """tau_adj, computed through H, against the pooled-covariance slopes
+    S_X^-2 s_{X,Y(z)} solved directly (n1 <= p in the second case)."""
+    rng = substream(43, p)
+    table = _random_table(rng, n, p)
+    data = _assign(table, n1, rng)
     xbar = table.x.mean(axis=0)
     s_xx = np.cov(table.x, rowvar=False, ddof=1)
-    for arm, z in ((1, data.z), (0, ~data.z)):
+    want = 0.0
+    for sign, z in ((1.0, data.z), (-1.0, ~data.z)):
         ya = data.y[z]
         s_xy = (table.x[z] - xbar).T @ (ya - ya.mean()) / (z.sum() - 1)
-        want = np.linalg.solve(np.atleast_2d(s_xx), s_xy)
-        np.testing.assert_allclose(beta_hat_pooled(data, arm), want, atol=1e-10)
+        beta = np.linalg.solve(np.atleast_2d(s_xx), s_xy)
+        want += sign * (ya.mean() - (table.x[z] - xbar).mean(axis=0) @ beta)
+    assert tau_adj(data) == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_debias_correction_loop_oracle():
@@ -180,14 +184,17 @@ def test_lin_fit_singular_arm_gram():
     assert exc.value.arm == 1
 
 
-def test_beta_hat_pooled_needs_two_units():
+@pytest.mark.parametrize("arm", [1, 0])
+def test_tau_adj_needs_two_units_per_arm(arm):
     rng = substream(51)
     table = _random_table(rng, 8, 1)
-    z = np.zeros(8, dtype=bool)
-    z[3] = True
-    data = observe(table, Assignment(z=z, n=8, n1=1))
-    with pytest.raises(ArmSingularError):
-        beta_hat_pooled(data, 1)
+    z = np.zeros(8, dtype=bool) if arm == 1 else np.ones(8, dtype=bool)
+    z[3] = not z[3]
+    data = observe(table, Assignment(z=z, n=8, n1=int(z.sum())))
+    with pytest.raises(ArmSingularError) as exc:
+        tau_adj(data)
+    assert exc.value.arm == arm
+    assert f"arm {arm}" in str(exc.value)
 
 
 def test_science_table_shape_validation():

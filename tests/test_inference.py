@@ -7,6 +7,7 @@ from randadj.design import (
     build_hat_structure,
     complete_randomization,
     enumerate_assignments,
+    hat_forms,
     substream,
 )
 from randadj.estimators import ScienceTable, lin_fit, observe
@@ -15,7 +16,6 @@ from randadj.inference import (
     LeverageOneError,
     efficiency_bounds,
     estimate_variance,
-    hat_forms,
     hc3_variance,
     necessary_bound,
     neyman_variance_unadj,

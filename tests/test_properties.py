@@ -69,3 +69,23 @@ def test_estimates_are_invariant_to_unit_order(exp, random):
     assert na2.keys() == na.keys()
     assert points2 == pytest.approx(points, rel=1e-9, abs=1e-12)
     assert variances2 == pytest.approx(variances, rel=1e-9, abs=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(experiments(), st.integers(0, 2**32 - 1))
+def test_estimates_are_invariant_to_affine_maps_of_x(exp, seed):
+    """X -> XA + c keeps the centered column span, so every estimate stays."""
+    y, z, x = exp
+    p = x.shape[1]
+    rng = np.random.default_rng(seed)
+    # A = U diag(s) V' with singular values s in [0.5, 2]
+    u, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    v, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    amat = u @ np.diag(rng.uniform(0.5, 2.0, size=p)) @ v.T
+    shift = rng.standard_normal(p) * 10.0
+    points, variances, na = _estimates(y, z, x)
+    points2, variances2, na2 = _estimates(y, z, x @ amat + shift)
+    assert na2.keys() == na.keys()
+    scale = np.abs(y).max()
+    assert points2 == pytest.approx(points, rel=1e-8, abs=1e-12 * scale)
+    assert variances2 == pytest.approx(variances, rel=1e-8, abs=1e-12 * scale**2)
