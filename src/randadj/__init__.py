@@ -71,4 +71,10 @@ from .inference import (
     wald_ci,
 )
 
+from .blas import pin_openblas as _pin_openblas
+
+#: one record per loaded OpenBLAS library (path, config, threads, pinned);
+#: pinned last, once the submodules have loaded numpy's and scipy's copies
+BLAS = _pin_openblas()
+
 __all__ = [name for name in dir() if not name.startswith("_")]

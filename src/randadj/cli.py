@@ -22,8 +22,9 @@ import os
 import sys
 
 import numpy as np
+import scipy
 
-from . import __version__
+from . import BLAS, __version__
 from .design import (
     Assignment,
     EnumerationTooLargeError,
@@ -236,8 +237,10 @@ def cmd_simulate(args) -> int:
         "versions": {
             "randadj": __version__,
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
+        "blas": BLAS,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

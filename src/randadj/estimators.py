@@ -16,6 +16,7 @@ arm-specific estimators additionally need n_z > p in both arms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -75,6 +76,13 @@ class ObservedData:
     def z(self) -> np.ndarray:
         return self.assignment.z
 
+    @cached_property
+    def arms(self) -> dict[int, tuple[np.ndarray, np.floating]]:
+        """{1: (y_1, Ybar_1), 0: (y_0, Ybar_0)}: each arm's outcomes and their
+        mean, gathered once per assignment for every estimator that needs them."""
+        z = self.z
+        return {arm: (y, y.mean()) for arm, y in ((1, self.y[z]), (0, self.y[~z]))}
+
 
 def observe(table: ScienceTable, assignment: Assignment) -> ObservedData:
     """Reveal the outcomes selected by an assignment."""
@@ -86,8 +94,7 @@ def observe(table: ScienceTable, assignment: Assignment) -> ObservedData:
 
 def tau_unadj(data: ObservedData) -> float:
     """Difference in arm means."""
-    z = data.z
-    return float(data.y[z].mean()) - float(data.y[~z].mean())
+    return float(data.arms[1][1]) - float(data.arms[0][1])
 
 
 def _centred(data: ObservedData, arms) -> np.ndarray:
@@ -96,9 +103,8 @@ def _centred(data: ObservedData, arms) -> np.ndarray:
     for row, arm in zip(u, arms):
         if arm not in (0, 1):
             raise ValueError("arm must be 0 or 1")
-        z = data.z if arm == 1 else ~data.z
-        yz = data.y[z]
-        row[z] = yz - yz.mean()
+        yz, ybar = data.arms[arm]
+        row[data.z if arm == 1 else ~data.z] = yz - ybar
     return u
 
 
@@ -185,8 +191,7 @@ def lin_fit(data: ObservedData) -> LinFit:
         xa = data.hat.xc[z]
         xbar = xa.mean(axis=0)
         xa = xa - xbar
-        ya = data.y[z]
-        ybar = ya.mean()
+        ya, ybar = data.arms[arm]
         yc = ya - ybar
         # LAPACK directly: scipy's cho_factor/cho_solve cost ~30 us a call at small p
         chol, info = dpotrf(xa.T @ xa, lower=1)

@@ -290,8 +290,8 @@ def enumeration_check(table: ScienceTable, n1: int) -> EnumerationReport:
                 draws[e].append(points[e])
             else:
                 feasible[e] = False
-        ybar1.append(float(data.y[asg.z].mean()))
-        ybar0.append(float(data.y[~asg.z].mean()))
+        ybar1.append(float(data.arms[1][1]))
+        ybar0.append(float(data.arms[0][1]))
         cb.append(variances["cb"])
     count = len(ybar1)
     mean = {}

@@ -305,11 +305,11 @@ def estimate_variance(data: ObservedData, forms: ArmForms | None = None) -> Vari
 
 def neyman_variance_unadj(data: ObservedData) -> float:
     """Classical conservative variance for the difference in means."""
-    z = data.z
-    return float(
-        sample_variance(data.y[z]) / data.assignment.r1
-        + sample_variance(data.y[~z]) / data.assignment.r0
-    )
+    s2 = {}
+    for arm, (yz, ybar) in data.arms.items():
+        u = yz - ybar
+        s2[arm] = float(u @ u / (yz.shape[0] - 1))
+    return s2[1] / data.assignment.r1 + s2[0] / data.assignment.r0
 
 
 def hc3_variance(data: ObservedData, fit: LinFit | None = None) -> float:
@@ -331,7 +331,7 @@ def hc3_variance(data: ObservedData, fit: LinFit | None = None) -> float:
     for arm, mask, resid, chol in ((1, data.z, fit.resid1, fit.chol1),
                                    (0, ~data.z, fit.resid0, fit.chol0)):
         nz = int(mask.sum())
-        # BLAS trsm: LAPACK trtrs takes ~0.5 ms per tiny solve under threaded OpenBLAS
+        # BLAS trsm directly: solve_triangular's wrapper adds ~26 us a call (28 vs 1.8 us at p=1)
         c = dtrsm(1.0, chol, data.hat.xc[mask].T, lower=1)
         e = c.mean(axis=1)
         lev = np.einsum("ij,ij->j", c, c) - nz * (e @ c) ** 2 / (1.0 + nz * (e @ e))

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import randadj
 from randadj.cli import config_hash, default_config, load_config, main
 from randadj.design import Assignment, build_hat_structure, substream
 from randadj.estimators import ObservedData, lin_fit, tau_lin, tau_lin_db
@@ -90,6 +92,13 @@ def test_simulate_outputs_and_reproducibility(capsys, tmp_path):
     cfg = load_config(str(tmp_path / "cfg.json"), full=False, overrides={})
     assert manifest["config_sha256"] == config_hash(cfg)
     assert manifest["config"]["n"] == 40
+    assert set(manifest["versions"]) == {"randadj", "numpy", "scipy", "python"}
+    # the package import pins every loaded OpenBLAS (numpy and scipy wheels
+    # each bundle one)
+    assert manifest["blas"]
+    for lib in manifest["blas"]:
+        assert "openblas" in lib["path"].lower() and lib["config"].startswith("OpenBLAS")
+        assert lib["threads"] == 1 and lib["pinned"] is True
 
     rows = (d1 / "results.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + 5  # header + one row per estimator
@@ -99,6 +108,28 @@ def test_simulate_thread_count_does_not_change_bytes(capsys, tmp_path):
     d1 = _simulate_into(capsys, tmp_path, "t1", ("--threads", "1"))
     d2 = _simulate_into(capsys, tmp_path, "t2", ("--threads", "2"))
     assert (d1 / "results.csv").read_bytes() == (d2 / "results.csv").read_bytes()
+
+
+def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # n=1000 products reach OpenBLAS's threaded paths, which n=60 (criterion
+    # 9) never does; run B also covers the pool workers
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "n": 1000, "reps": 6, "seed": 7, "alphas": [0.1, 0.3], "deltas": [0.25],
+        "gammas": [3.0], "residuals": ["t3", "worst_case"]}))
+    src = os.path.dirname(os.path.dirname(randadj.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outputs = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"blas{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "randadj.cli", "simulate", "--config", str(cfg_path),
+             "--out", str(out_dir), "--threads", threads],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out_dir / "results.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_simulate_out_env_fallback(capsys, tmp_path, monkeypatch):
