@@ -122,23 +122,36 @@ def build_hat_structure(X) -> HatStructure:
     return HatStructure(xc=xc, h=h, leverages=lev, q=q, alpha=p / n, n=n, p=p)
 
 
+def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products of the rows of a with those of b, per leading index:
+    (..., k, n) and (..., l, n) give (..., k, l)."""
+    return a @ np.swapaxes(b, -1, -2)
+
+
+def _times(u: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """u @ D for u of shape (..., k, n), as one product of all its rows."""
+    return (u.reshape(-1, u.shape[-1]) @ D).reshape(u.shape)
+
+
 def _hollow(D: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bilinear forms over the rows of u, split at the diagonal of D.
 
-    Returns (hollow, diagonal) with hollow[a, b] = sum_{i != j} u_ai D_ij u_bj
-    and diagonal[a, b] = sum_i D_ii u_ai u_bi.  D is read once, as one
-    product with all rows of u.
+    Returns (hollow, diagonal) with hollow[..., a, b] = sum_{i != j} u_ai
+    D_ij u_bj and diagonal[..., a, b] = sum_i D_ii u_ai u_bi, for u of shape
+    (..., k, n).  D is read once, as one product with all rows of u.
     """
-    diagonal = (u * np.diagonal(D)) @ u.T
-    return (u @ D) @ u.T - diagonal, diagonal
+    diagonal = _gram(u * np.diagonal(D), u)
+    return _gram(_times(u, D), u) - diagonal, diagonal
 
 
 def hat_forms(hat: HatStructure, u: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """(hollow, diagonal) bilinear forms of H, Q and B over the rows of u.
 
     Returns ((hollow_H, diag_H), (hollow_Q, diag_Q), (hollow_B, diag_B)),
-    each a k x k matrix for u of shape k x n, split as in _hollow.  B is
-    never formed: with g = 1 + diag{H}, G = diag{g}, the one product
+    each of shape (..., k, k) for u of shape (..., k, n), split as in
+    _hollow: a leading axis stacks blocks of rows (one per assignment, say),
+    and all their rows are multiplied by H, and by Q, in one product each.
+    B is never formed: with g = 1 + diag{H}, G = diag{g}, the product
     uh = u H and the Gram e = v v' of v = [u; G u] give
 
         m_UU = uh u',  m_GU = (G u) uh',
@@ -146,20 +159,19 @@ def hat_forms(hat: HatStructure, u: np.ndarray) -> tuple[tuple[np.ndarray, np.nd
         u B u'         = e_GG - s s'/n - m_GU - m_GU' + m_UU,
         diagonal of B: 3 e_GU - e_UU - (1 + 1/n) e_GG,
 
-    where s holds the row sums of G u (B = GPG - GH - HG + H).  Q is read
-    once, as in _hollow.
+    where s holds the row sums of G u (B = GPG - GH - HG + H).
     """
-    k, n = u.shape
+    k, n = u.shape[-2:]
     g = 1.0 + hat.leverages
-    v = np.concatenate((u, u * g))
-    uh = u @ hat.h
-    e = v @ v.T
-    e_uu, e_gu, e_gg = e[:k, :k], e[k:, :k], e[k:, k:]
-    full_h = uh @ u.T
-    m_gu = v[k:] @ uh.T
+    v = np.concatenate((u, u * g), axis=-2)
+    e = _gram(v, v)
+    e_uu, e_gu, e_gg = e[..., :k, :k], e[..., k:, :k], e[..., k:, k:]
+    m = _gram(_times(u, hat.h), v)
+    full_h, m_gu = m[..., :k], np.swapaxes(m[..., k:], -1, -2)
     s = u @ g
     diag_h = e_gu - e_uu
-    full_b = e_gg - s[:, None] * (s / n) - m_gu - m_gu.T + full_h
+    full_b = (e_gg - s[..., :, None] * (s[..., None, :] / n)
+              - m_gu - np.swapaxes(m_gu, -1, -2) + full_h)
     diag_b = 3.0 * e_gu - e_uu - (1.0 + 1.0 / n) * e_gg
     return (full_h - diag_h, diag_h), _hollow(hat.q, u), (full_b - diag_b, diag_b)
 

@@ -196,15 +196,20 @@ def t_residual(n: int, dist: str, rng: np.random.Generator) -> tuple[np.ndarray,
     return scale(draw(rng, n)), scale(draw(rng, n))
 
 
-def build_cell(base: BaseTables, cfg: CellConfig) -> ScienceTable:
-    """Materialize the potential-outcome table for one cell."""
+def build_cell(base: BaseTables, cfg: CellConfig, hat: HatStructure | None = None) -> ScienceTable:
+    """Materialize the potential-outcome table for one cell.
+
+    `hat`, when given, must be the hat structure of base.cal_x[:, :cfg.p]
+    (another cell's of the same p); it is built when omitted.
+    """
     if cfg.n != base.n:
         raise ValueError("cell size does not match the base tables")
     if cfg.covariate_dist != base.dist:
         raise ValueError("cell covariate distribution does not match the base tables")
     p = cfg.p
     x = base.cal_x[:, :p]
-    hat = build_hat_structure(x)
+    if hat is None:
+        hat = build_hat_structure(x)
     key = cell_key(cfg)
 
     beta1 = base.beta[:p] + cfg.delta * base.delta_vec[:p]

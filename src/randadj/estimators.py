@@ -11,6 +11,10 @@ Five estimators are provided:
 tau_adj and tau_db remain well defined whenever the pooled covariate matrix
 is nonsingular, even if one arm has fewer units than covariates; the
 arm-specific estimators additionally need n_z > p in both arms.
+
+The hat-matrix estimators run in blocks: block_unadj, block_adj and
+block_debias evaluate a block of assignments (ArmForms) at once, and
+tau_unadj, tau_adj and debias_correction are their blocks of one.
 """
 
 from __future__ import annotations
@@ -79,9 +83,15 @@ class ObservedData:
     @cached_property
     def arms(self) -> dict[int, tuple[np.ndarray, np.floating]]:
         """{1: (y_1, Ybar_1), 0: (y_0, Ybar_0)}: each arm's outcomes and their
-        mean, gathered once per assignment for every estimator that needs them."""
+        mean, gathered once per assignment for the arm fits."""
         z = self.z
         return {arm: (y, y.mean()) for arm, y in ((1, self.y[z]), (0, self.y[~z]))}
+
+    @cached_property
+    def forms(self) -> ArmForms:
+        """This assignment as a block of one (arm_forms), made once for every
+        estimator that reads it."""
+        return arm_forms(self.hat, self.y[None], self.z[None])
 
 
 def observe(table: ScienceTable, assignment: Assignment) -> ObservedData:
@@ -92,57 +102,79 @@ def observe(table: ScienceTable, assignment: Assignment) -> ObservedData:
     return ObservedData(y=y, assignment=assignment, x=table.x, hat=table.hat)
 
 
-def tau_unadj(data: ObservedData) -> float:
-    """Difference in arm means."""
-    return float(data.arms[1][1]) - float(data.arms[0][1])
-
-
-def _centred(data: ObservedData, arms) -> np.ndarray:
-    """One row per arm: Y_i - Ybar_arm on the arm, 0 elsewhere."""
-    u = np.zeros((len(arms), data.assignment.n))
-    for row, arm in zip(u, arms):
-        if arm not in (0, 1):
-            raise ValueError("arm must be 0 or 1")
-        yz, ybar = data.arms[arm]
-        row[data.z if arm == 1 else ~data.z] = yz - ybar
-    return u
-
-
 @dataclass(frozen=True)
 class ArmForms:
-    """hat_forms' (hollow, diagonal) pairs of H, Q and B over the rows
-    (u1, u0, z) of one assignment, with (u1, u0) = _centred(data, (1, 0)) and
-    z the 0/1 treated indicator, and lev_u = (u1, u0) @ diag{H}."""
+    """A block of R assignments of one hat structure, row r for assignment r.
 
-    h: tuple[np.ndarray, np.ndarray]
-    q: tuple[np.ndarray, np.ndarray]
-    b: tuple[np.ndarray, np.ndarray]
-    lev_u: np.ndarray
+    nz holds the arm sizes (n1, n0) and ybar the arm means (Ybar_1, Ybar_0),
+    each R x 2, and u the rows (R, 3, n) = (u1, u0, z): u_z is Y_i - Ybar_z
+    on arm z and 0 elsewhere, z the 0/1 treated indicator.  `forms` holds
+    hat_forms' (hollow, diagonal) pairs of H, Q and B over those rows, each
+    R x 3 x 3, made on first use from one product of all 3R rows with H and
+    one with Q.  Every H-based estimate of the block is a vector over it.
+    """
+
+    hat: HatStructure
+    nz: np.ndarray
+    ybar: np.ndarray
+    u: np.ndarray
+
+    @cached_property
+    def forms(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        return hat_forms(self.hat, self.u)
 
 
-def arm_forms(data: ObservedData) -> ArmForms:
-    """One product with H for every hat form an assignment needs."""
-    u = _centred(data, (1, 0))
-    h, q, b = hat_forms(data.hat, np.vstack((u, data.z)))
-    return ArmForms(h=h, q=q, b=b, lev_u=u @ data.hat.leverages)
+def arm_forms(hat: HatStructure, y: np.ndarray, z: np.ndarray) -> ArmForms:
+    """The ArmForms of the assignments z (R x n, boolean) that observed the
+    outcomes y (R x n)."""
+    n1 = z.sum(axis=1)
+    nz = np.stack((n1, hat.n - n1), axis=1)
+    u = np.empty((z.shape[0], 3, hat.n))
+    ybar = np.empty((z.shape[0], 2))
+    for k, mask in enumerate((z, ~z)):
+        ybar[:, k] = np.where(mask, y, 0.0).sum(axis=1) / nz[:, k]
+        u[:, k] = np.where(mask, y - ybar[:, k, None], 0.0)
+    u[:, 2] = z
+    return ArmForms(hat=hat, nz=nz, ybar=ybar, u=u)
+
+
+def block_unadj(forms: ArmForms) -> np.ndarray:
+    """Difference in arm means over a block."""
+    return forms.ybar[:, 0] - forms.ybar[:, 1]
+
+
+def block_adj(forms: ArmForms) -> np.ndarray:
+    """tau_adj over a block, with no p-dimensional solve: arm z's adjustment
+    is Xbar_z' beta_z = (n-1) / (n_z (n_z-1)) 1_z' H u_z, and as H1 = 0 the
+    H form over (u1, u0, z) holds 1_1' H u1 at [2, 0] and -1_0' H u0 at
+    [2, 1].  Raises ArmSingularError when an arm has fewer than 2 units."""
+    nz = forms.nz
+    for k, arm in enumerate((1, 0)):
+        if nz[:, k].min() < 2:
+            raise ArmSingularError(arm, f"needs at least 2 units, got {nz[:, k].min()}")
+    hollow, diagonal = forms.forms[0]
+    f = hollow[:, 2, :2] + diagonal[:, 2, :2]
+    return block_unadj(forms) - (forms.hat.n - 1) * (f / (nz * (nz - 1))).sum(axis=1)
+
+
+def block_debias(forms: ArmForms) -> np.ndarray:
+    """debias_correction over a block."""
+    nz = forms.nz
+    rz = nz / forms.hat.n
+    t = forms.u[:, :2] @ forms.hat.leverages / nz / rz**2
+    return rz[:, 0] * rz[:, 1] * (t[:, 0] - t[:, 1])
+
+
+def tau_unadj(data: ObservedData) -> float:
+    """Difference in arm means."""
+    return float(block_unadj(data.forms)[0])
 
 
 def tau_adj(data: ObservedData, forms: ArmForms | None = None) -> float:
-    """Regression-adjusted estimator with pooled-covariance slopes, with no
-    p-dimensional solve: arm z's adjustment is Xbar_z' beta_z = (n-1) /
-    (n_z (n_z-1)) 1_z' H u_z, and as H1 = 0 the H form over (u1, u0, z)
-    holds 1_1' H u1 at [2, 0] and -1_0' H u0 at [2, 1].  Raises
+    """Regression-adjusted estimator with pooled-covariance slopes (block_adj
+    of this assignment, or of the block of one `forms`).  Raises
     ArmSingularError when an arm has fewer than 2 units."""
-    asg = data.assignment
-    for arm, nz in ((1, asg.n1), (0, asg.n0)):
-        if nz < 2:
-            raise ArmSingularError(arm, f"needs at least 2 units, got {nz}")
-    if forms is None:
-        forms = arm_forms(data)
-    hollow, diagonal = forms.h
-    f1, f0 = (hollow[2, :2] + diagonal[2, :2]).tolist()
-    return tau_unadj(data) - (asg.n - 1) * (
-        f1 / (asg.n1 * (asg.n1 - 1)) + f0 / (asg.n0 * (asg.n0 - 1)))
+    return float(block_adj(data.forms if forms is None else forms)[0])
 
 
 def debias_correction(data: ObservedData, forms: ArmForms | None = None) -> float:
@@ -151,17 +183,12 @@ def debias_correction(data: ObservedData, forms: ArmForms | None = None) -> floa
     r1 r0 [ n1^-1 sum_{treated} H_ii (Y_i - Ybar_1) / r1^2
           - n0^-1 sum_{control} H_ii (Y_i - Ybar_0) / r0^2 ].
     """
-    if forms is None:
-        forms = arm_forms(data)
-    asg = data.assignment
-    t1, t0 = forms.lev_u.tolist()
-    return asg.r1 * asg.r0 * (t1 / asg.n1 / asg.r1**2 - t0 / asg.n0 / asg.r0**2)
+    return float(block_debias(data.forms if forms is None else forms)[0])
 
 
 def tau_db(data: ObservedData) -> float:
     """Debiased regression-adjusted estimator."""
-    forms = arm_forms(data)
-    return tau_adj(data, forms) + debias_correction(data, forms)
+    return tau_adj(data) + debias_correction(data)
 
 
 @dataclass(frozen=True)

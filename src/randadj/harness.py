@@ -19,7 +19,9 @@ are unaffected.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -28,27 +30,26 @@ import numpy as np
 from .design import complete_randomization, enumerate_assignments, hat_forms, substream
 from .dgp import BaseTables, CellConfig, _PURPOSE_ASSIGN, build_cell, cell_key
 from .estimators import (
+    ArmForms,
     ArmSingularError,
     ObservedData,
     ScienceTable,
     arm_forms,
-    debias_correction,
+    block_adj,
+    block_debias,
+    block_unadj,
     lin_fit,
-    observe,
-    tau_adj,
     tau_lin,
     tau_lin_db,
-    tau_unadj,
 )
 from .inference import (
     LeverageOneError,
     OracleVariances,
-    estimate_variance,
+    block_cb,
+    block_neyman,
     hc3_variance,
-    neyman_variance_unadj,
     oracle_variances,
     variance_components,
-    wald_ci,
 )
 
 #: canonical estimator order used everywhere (tables, CSV, JSON)
@@ -102,39 +103,57 @@ class CellResult:
         return self.oracle.sigma_adj2 / self.oracle.sigma_hd2
 
 
+#: entries of a block's R x n assignment matrix: the replicate loop takes
+#: R = _BLOCK_ENTRIES // n assignments at a time, so that each of the
+#: block's (R, 3, n) arrays stays near 1.5 MB
+_BLOCK_ENTRIES = 1 << 16
+
+
+def block_estimates(forms: ArmForms) -> dict[str, np.ndarray]:
+    """The H-based points (unadj, hd_undb, hd) and variances (neyman, cb,
+    and cb_clamped as 0/1) of a block of assignments, each a vector over
+    the block.  Raises ArmSingularError when an arm has fewer than 2 units."""
+    adj = block_adj(forms)
+    est = block_cb(forms)
+    return {"unadj": block_unadj(forms), "hd_undb": adj, "hd": adj + block_debias(forms),
+            "neyman": block_neyman(forms), "cb": est.combined,
+            "cb_clamped": est.clamped.astype(float)}
+
+
+def _lin_estimates(data: ObservedData, hc3: bool = True) -> tuple[dict, dict, dict]:
+    """lin and lin_db, and with hc3 their HC3 variance, for one assignment,
+    as (points, variances, na_reasons)."""
+    try:
+        fit = lin_fit(data)
+    except ArmSingularError as err:
+        return {}, {}, dict.fromkeys(("lin", "lin_db", "hc3"), str(err))
+    points = {"lin": tau_lin(data, fit), "lin_db": tau_lin_db(data, fit)}
+    if not hc3:
+        return points, {}, {}
+    try:
+        return points, {"hc3": hc3_variance(data, fit)}, {}
+    except LeverageOneError as err:
+        return points, {}, {"hc3": str(err)}
+
+
 def replicate_estimates(data: ObservedData) -> tuple[dict, dict, dict]:
-    """Point estimates and paired variances for one realized assignment.
+    """Point estimates and paired variances for one realized assignment:
+    block_estimates of this assignment, then lin, lin_db and HC3.
 
     Returns (points, variances, na_reasons); failed entries are absent
     from the first two dicts and explained in the third.
     """
-    points: dict[str, float] = {}
-    variances: dict[str, float] = {}
-    na: dict[str, str] = {}
+    block = {k: float(v[0]) for k, v in block_estimates(data.forms).items()}
+    points, variances, na = _lin_estimates(data)
+    return ({e: block[e] for e in ("unadj", "hd_undb", "hd")} | points,
+            {v: block[v] for v in ("neyman", "cb", "cb_clamped")} | variances, na)
 
-    points["unadj"] = tau_unadj(data)
-    forms = arm_forms(data)
-    adj = tau_adj(data, forms)
-    points["hd_undb"] = adj
-    points["hd"] = adj + debias_correction(data, forms)
 
-    variances["neyman"] = neyman_variance_unadj(data)
-    est = estimate_variance(data, forms)
-    variances["cb"] = est.combined
-    variances["cb_clamped"] = 1.0 if est.clamped else 0.0
-
-    try:
-        fit = lin_fit(data)
-    except ArmSingularError as err:
-        na["lin"] = na["lin_db"] = na["hc3"] = str(err)
-        return points, variances, na
-    points["lin"] = tau_lin(data, fit)
-    points["lin_db"] = tau_lin_db(data, fit)
-    try:
-        variances["hc3"] = hc3_variance(data, fit)
-    except LeverageOneError as err:
-        na["hc3"] = str(err)
-    return points, variances, na
+def _blocks(items, n: int):
+    """The items in lists of at most max(1, _BLOCK_ENTRIES // n)."""
+    items = iter(items)
+    while block := list(itertools.islice(items, max(1, _BLOCK_ENTRIES // n))):
+        yield block
 
 
 def run_cell(
@@ -144,7 +163,12 @@ def run_cell(
     seed: int,
     level: float = 0.05,
 ) -> CellResult:
-    """Monte Carlo over `reps` assignments of one cell's table."""
+    """Monte Carlo over `reps` assignments of one cell's table.
+
+    Replicates run in blocks: block_estimates evaluates the H-based
+    estimators of a whole block at once, and lin/lin_db/HC3 follow one
+    assignment at a time.
+    """
     if reps < 2:
         raise ValueError("need at least 2 replicates")
     n, n1 = cfg.n, cfg.n1
@@ -159,21 +183,27 @@ def run_cell(
     var_na: dict[str, str] = {}
     clamped = 0
 
-    for rep in range(reps):
-        rng = substream(seed, key, _PURPOSE_ASSIGN, rep)
-        data = observe(table, complete_randomization(n, n1, rng))
-        points, variances, na = replicate_estimates(data)
-        for e in ESTIMATORS:
-            if e in points:
-                pts[e][rep] = points[e]
-            elif e not in point_na and e in na:
-                point_na[e] = na[e]
-        for v in ("neyman", "cb", "hc3"):
-            if v in variances:
-                var[v][rep] = variances[v]
-            elif v not in var_na and v in na:
-                var_na[v] = na[v]
-        clamped += int(variances.get("cb_clamped", 0.0))
+    for reps_block in _blocks(range(reps), n):
+        asgs = [complete_randomization(n, n1, substream(seed, key, _PURPOSE_ASSIGN, rep))
+                for rep in reps_block]
+        z = np.array([asg.z for asg in asgs])
+        y = np.where(z, table.y1, table.y0)
+        block = block_estimates(arm_forms(table.hat, y, z))
+        rows = slice(reps_block[0], reps_block[-1] + 1)
+        for e in ("unadj", "hd_undb", "hd"):
+            pts[e][rows] = block[e]
+        for v in ("neyman", "cb"):
+            var[v][rows] = block[v]
+        clamped += int(block["cb_clamped"].sum())
+        for rep, asg, y_rep in zip(reps_block, asgs, y):
+            points, variances, na = _lin_estimates(
+                ObservedData(y=y_rep, assignment=asg, x=table.x, hat=table.hat))
+            for e, v in points.items():
+                pts[e][rep] = v
+            for v, value in variances.items():
+                var[v][rep] = value
+            for name, reason in na.items():
+                (var_na if name == "hc3" else point_na).setdefault(name, reason)
 
     scale_rmse = math.sqrt(ov.sigma_cre2 / n)
     scale_bias = math.sqrt(ov.sigma_hd2 / n)
@@ -222,16 +252,22 @@ def _z_value(level: float) -> float:
     return float(ndtri(1.0 - level / 2.0))
 
 
-def _cell_task(args) -> CellResult:
-    base, cfg, reps, seed, level = args
-    # a table too large for its moments fails the run instead of writing
-    # inf or nan metrics
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            return run_cell(build_cell(base, cfg), cfg, reps, seed, level)
-        except FloatingPointError as err:
-            raise FloatingPointError(f"cell alpha={cfg.alpha}, delta={cfg.delta}, "
-                                     f"gamma={cfg.gamma}: {err}") from err
+def _cells_task(args) -> list[CellResult]:
+    base, cfgs, reps, seed, level = args
+    hat = None  # the cells share p, so the first cell's hat serves them all
+    results = []
+    for cfg in cfgs:
+        # a table too large for its moments fails the run instead of writing
+        # inf or nan metrics
+        with np.errstate(over="raise", invalid="raise"):
+            try:
+                table = build_cell(base, cfg, hat)
+                hat = table.hat
+                results.append(run_cell(table, cfg, reps, seed, level))
+            except FloatingPointError as err:
+                raise FloatingPointError(f"cell alpha={cfg.alpha}, delta={cfg.delta}, "
+                                         f"gamma={cfg.gamma}: {err}") from err
+    return results
 
 
 def run_factorial(
@@ -244,16 +280,31 @@ def run_factorial(
 ) -> list[CellResult]:
     """Run every cell; workers > 1 parallelizes over cells.
 
-    Per-cell results depend only on (base, cfg, reps, seed, level), never
-    on worker count or position in the grid, so output is byte-stable.
+    A cell's hat structure depends only on its p, so cells run in p order
+    and each task builds one hat for a run of cells with the same p: one
+    task per p serially, up to `workers` tasks per p in a pool.  A task's
+    hat is released before the next task builds its own.  Per-cell results
+    depend only on (base, cfg, reps, seed, level), never on worker count or
+    position in the grid, so output is byte-stable; they come back in grid
+    order.
     """
-    tasks = [(base, cfg, reps, seed, level) for cfg in cells]
     if workers is not None and workers < 1:
         raise ValueError("workers must be positive")
-    if workers == 1 or len(tasks) == 1:
-        return [_cell_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_cell_task, tasks, chunksize=1))
+    serial = workers == 1 or len(cells) == 1
+    pieces = 1 if serial else workers or os.cpu_count() or 1
+    order = sorted(range(len(cells)), key=lambda i: cells[i].p)
+    tasks = []
+    for _, same_p in itertools.groupby(order, key=lambda i: cells[i].p):
+        same_p = list(same_p)
+        tasks += [same_p[j::pieces] for j in range(min(pieces, len(same_p)))]
+    args = [(base, [cells[i] for i in task], reps, seed, level) for task in tasks]
+    if serial:
+        done = [_cells_task(a) for a in args]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_cells_task, args, chunksize=1))
+    by_index = dict(zip(itertools.chain(*tasks), itertools.chain(*done)))
+    return [by_index[i] for i in range(len(cells))]
 
 
 # ---------------------------------------------------------------------------
@@ -276,38 +327,42 @@ def enumeration_check(table: ScienceTable, n1: int) -> EnumerationReport:
     """Average the estimators over the complete assignment set.
 
     Exact (no Monte Carlo); refuses designs with more than 10^6
-    assignments via enumerate_assignments' guard.
+    assignments via enumerate_assignments' guard, and arms of fewer than 2
+    units.  The assignments run in blocks, as in run_cell.
     """
     n = table.hat.n
-    draws = {e: [] for e in ESTIMATORS}
-    feasible = {e: True for e in ESTIMATORS}
-    ybar1, ybar0, cb = [], [], []
-    for asg in enumerate_assignments(n, n1):
-        data = observe(table, asg)
-        points, variances, _ = replicate_estimates(data)
+    if n1 < 2 or n - n1 < 2:
+        raise ValueError(f"each arm needs at least 2 units, got n1={n1}, n0={n - n1}")
+    vals = {e: [] for e in ESTIMATORS}
+    ybar, cb = [], []
+    for asgs in _blocks(enumerate_assignments(n, n1), n):
+        z = np.array([asg.z for asg in asgs])
+        y = np.where(z, table.y1, table.y0)
+        forms = arm_forms(table.hat, y, z)
+        block = block_estimates(forms)
+        lin = [_lin_estimates(ObservedData(y=y_rep, assignment=asg, x=table.x, hat=table.hat),
+                              hc3=False)[0] for asg, y_rep in zip(asgs, y)]
+        for e in ("lin", "lin_db"):
+            block[e] = np.array([points.get(e, np.nan) for points in lin])
         for e in ESTIMATORS:
-            if e in points:
-                draws[e].append(points[e])
-            else:
-                feasible[e] = False
-        ybar1.append(float(data.arms[1][1]))
-        ybar0.append(float(data.arms[0][1]))
-        cb.append(variances["cb"])
-    count = len(ybar1)
+            vals[e].append(block[e])
+        ybar.append(forms.ybar)
+        cb.append(block["cb"])
+    ybar = np.concatenate(ybar)
     mean = {}
     variance = {}
     for e in ESTIMATORS:
-        if feasible[e]:
-            vals = np.asarray(draws[e])
-            mean[e] = float(vals.mean())
-            variance[e] = float(vals.var(ddof=0))
+        v = np.concatenate(vals[e])
+        if not np.isnan(v).any():  # NaN marks an assignment where e failed
+            mean[e] = float(v.mean())
+            variance[e] = float(v.var(ddof=0))
     return EnumerationReport(
-        n_assignments=count,
+        n_assignments=len(ybar),
         mean=mean,
         variance=variance,
-        mean_ybar1=float(np.mean(ybar1)),
-        mean_ybar0=float(np.mean(ybar0)),
-        mean_cb_variance=float(np.mean(cb)),
+        mean_ybar1=float(ybar[:, 0].mean()),
+        mean_ybar0=float(ybar[:, 1].mean()),
+        mean_cb_variance=float(np.concatenate(cb).mean()),
     )
 
 

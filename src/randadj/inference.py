@@ -20,7 +20,7 @@ from scipy.linalg.blas import dtrsm
 from scipy.special import ndtri
 
 from .design import _hollow, hat_forms
-from .estimators import ArmForms, LinFit, ObservedData, ScienceTable, _centred, arm_forms, lin_fit
+from .estimators import ArmForms, LinFit, ObservedData, ScienceTable, lin_fit
 from .finitepop import sample_variance, scaled_variance
 
 
@@ -207,6 +207,13 @@ def _arm_size(data: ObservedData, arm: int) -> int:
     return data.assignment.n1 if arm == 1 else data.assignment.n0
 
 
+def _centred(data: ObservedData, arms) -> np.ndarray:
+    """One row per arm: Y_i - Ybar_arm on the arm, 0 elsewhere."""
+    if any(arm not in (0, 1) for arm in arms):
+        raise ValueError("arm must be 0 or 1")
+    return data.forms.u[0, [1 - arm for arm in arms]]
+
+
 def sample_diag_quadratic(D, data: ObservedData, arm: int) -> float:
     """n_z^-1 sum_{i in arm} D_ii (Y_i - Ybar_arm)^2."""
     u = _centred(data, (arm,))[0]
@@ -241,6 +248,7 @@ class VarianceEstimate:
     hd_prime is the variant that is tighter under effect heterogeneity.
     combined takes the smaller of the two (ties resolved toward hd) and
     is clamped at zero (flagged) in the rare event both go negative.
+    From block_cb each field is a vector over the block's assignments.
     """
 
     i1: float
@@ -255,61 +263,62 @@ class VarianceEstimate:
     clamped: bool
 
 
+def block_cb(forms: ArmForms) -> VarianceEstimate:
+    """estimate_variance over a block, each field a vector."""
+    n = forms.hat.n
+    nz = forms.nz
+    rz = nz / n
+    r1r0 = (rz[:, 0] * rz[:, 1])[:, None]
+    # rows (arm 1, arm 0, z): the first two diagonal entries of each form
+    # are the single-arm moments, its [0, 1] entry the cross-arm one
+    (oh, _), (oq, dq), (ob, db) = forms.forms
+    mq, mb, off_q, off_b, off_h = (np.diagonal(m, axis1=1, axis2=2)[:, :2] / d for m, d in (
+        (dq, nz), (db, nz), (oq, rz * nz), (ob, rz * nz), (oh, rz * nz)))
+    i1 = (r1r0 * (r1r0 / rz**4 * mq + mb / rz**2)).sum(axis=1)
+    i2 = (r1r0 * (r1r0 / rz**4 * off_q + off_b / rz**2)).sum(axis=1)
+    i3_upper_prime = (mb - mq).sum(axis=1)
+    cross = n * rz[:, 0] * rz[:, 1]
+    i3_upper = (mb - mq - off_h).sum(axis=1) + 2.0 * oh[:, 0, 1] / cross
+    i4 = 2.0 * (ob[:, 0, 1] / cross - oq[:, 0, 1] / cross)
+
+    hd = i1 + i2 + i3_upper + i4
+    hd_prime = i1 + i2 + i3_upper_prime + i4
+    take_hd = hd <= hd_prime
+    combined = np.where(take_hd, hd, hd_prime)
+    clamped = combined < 0.0
+    return VarianceEstimate(
+        i1=i1, i2=i2, i3_upper=i3_upper, i3_upper_prime=i3_upper_prime, i4=i4,
+        hd=hd, hd_prime=hd_prime, combined=np.where(clamped, 0.0, combined),
+        source=np.where(take_hd, "hd", "hd_prime"), clamped=clamped,
+    )
+
+
 def estimate_variance(data: ObservedData, forms: ArmForms | None = None) -> VarianceEstimate:
-    """Assignment-based estimate of the many-covariate variance.
+    """Assignment-based estimate of the many-covariate variance (block_cb of
+    this assignment, or of the block of one `forms`).
 
     Every ingredient is a sample moment over one arm or over the two arms'
     off-diagonal pairs, weighted by entries of H, Q, or B; only observed
     outcomes enter.
     """
-    if forms is None:
-        forms = arm_forms(data)
-    asg = data.assignment
-    r1, r0 = asg.r1, asg.r0
-    # rows (arm 1, arm 0, z): the first two diagonal entries of each form
-    # are the single-arm moments, its [0, 1] entry the cross-arm one
-    (oh, _), (oq, dq), (ob, db) = (
-        (m.tolist() for m in pair) for pair in (forms.h, forms.q, forms.b))
-
-    i1 = i2 = i3_upper = i3_upper_prime = 0.0
-    for k, rz, nz in ((0, r1, asg.n1), (1, r0, asg.n0)):
-        mq, mb = dq[k][k] / nz, db[k][k] / nz
-        i1 += r1 * r0 * (r1 * r0 / rz**4 * mq + mb / rz**2)
-        off_q, off_b, off_h = (m[k][k] / (rz * nz) for m in (oq, ob, oh))
-        i2 += r1 * r0 * (r1 * r0 / rz**4 * off_q + off_b / rz**2)
-        i3_upper += mb - mq - off_h
-        i3_upper_prime += mb - mq
-
-    cross = asg.n * r1 * r0
-    i3_upper += 2.0 * oh[0][1] / cross
-    i4 = 2.0 * (ob[0][1] / cross - oq[0][1] / cross)
-
-    hd = i1 + i2 + i3_upper + i4
-    hd_prime = i1 + i2 + i3_upper_prime + i4
-    if hd <= hd_prime:
-        combined, source = hd, "hd"
-    else:
-        combined, source = hd_prime, "hd_prime"
-    clamped = combined < 0.0
-    if clamped:
-        combined = 0.0
-    return VarianceEstimate(
-        i1=i1, i2=i2, i3_upper=i3_upper, i3_upper_prime=i3_upper_prime, i4=i4,
-        hd=hd, hd_prime=hd_prime, combined=combined, source=source, clamped=clamped,
-    )
+    est = block_cb(data.forms if forms is None else forms)
+    return VarianceEstimate(**{k: v[0].item() for k, v in vars(est).items()})
 
 
 # ---------------------------------------------------------------------------
 # competitor variance estimators and interval construction
 # ---------------------------------------------------------------------------
 
+def block_neyman(forms: ArmForms) -> np.ndarray:
+    """neyman_variance_unadj over a block."""
+    nz = forms.nz
+    u = forms.u[:, :2]
+    return (np.einsum("rkn,rkn->rk", u, u) / (nz - 1) / (nz / forms.hat.n)).sum(axis=1)
+
+
 def neyman_variance_unadj(data: ObservedData) -> float:
     """Classical conservative variance for the difference in means."""
-    s2 = {}
-    for arm, (yz, ybar) in data.arms.items():
-        u = yz - ybar
-        s2[arm] = float(u @ u / (yz.shape[0] - 1))
-    return s2[1] / data.assignment.r1 + s2[0] / data.assignment.r0
+    return float(block_neyman(data.forms)[0])
 
 
 def hc3_variance(data: ObservedData, fit: LinFit | None = None) -> float:

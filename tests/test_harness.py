@@ -81,6 +81,39 @@ def test_run_factorial_order_and_worker_independence(tmp_path):
     assert [r.cfg.alpha for r in serial] == [0.1, 0.2]
 
 
+def test_run_factorial_builds_one_hat_per_p(monkeypatch):
+    from randadj import dgp
+    from randadj.cli import config_cells, default_config
+
+    calls = []
+
+    def counting(x):
+        calls.append(x.shape[1])
+        return build_hat_structure(x)
+
+    cfg = default_config(full=False)
+    cells = config_cells(cfg)
+    base = gen_base_tables(cfg["n"], cfg["covariate_dist"], cfg["seed"])
+    monkeypatch.setattr(dgp, "build_hat_structure", counting)
+    results = run_factorial(base, cells, reps=2, seed=3, workers=1)
+    assert len(cells) == 24 and calls == [20, 80, 200]
+    assert [r.cfg for r in results] == cells
+    # a shared hat gives the bits of a cell's own
+    for k in (0, 13, 23):
+        own = run_cell(build_cell(base, cells[k]), cells[k], reps=2, seed=3)
+        assert all(vars(own.metrics[e]) == vars(results[k].metrics[e]) for e in ESTIMATORS)
+
+
+@pytest.mark.parametrize("n1", [1, 5])
+def test_enumeration_check_rejects_one_unit_arm(n1):
+    rng = substream(93)
+    x = rng.standard_normal((6, 1))
+    table = ScienceTable(y1=rng.standard_normal(6), y0=rng.standard_normal(6), x=x,
+                         hat=build_hat_structure(x))
+    with pytest.raises(ValueError, match=f"n1={n1}, n0={6 - n1}"):
+        enumeration_check(table, n1)
+
+
 def test_enumeration_check_exact_moments():
     rng = substream(91)
     x = rng.standard_normal((8, 1))
