@@ -64,9 +64,6 @@ from .inference import (
     oracle_variances,
     residuals,
     rl2_curve,
-    sample_cross_offdiag,
-    sample_diag_quadratic,
-    sample_offdiag_quadratic,
     variance_components,
     wald_ci,
 )

@@ -197,7 +197,7 @@ class Assignment:
         return self.n0 / self.n
 
 
-def _check_arm_sizes(n: int, n1: int) -> None:
+def _check_design_sizes(n: int, n1: int) -> None:
     if not (isinstance(n, (int, np.integer)) and isinstance(n1, (int, np.integer))):
         raise ValueError("n and n1 must be integers")
     if not 0 < n1 < n:
@@ -210,7 +210,7 @@ def complete_randomization(n: int, n1: int, rng) -> Assignment:
     `rng` may be an integer seed or a live numpy Generator; passing a
     Generator lets callers draw a reproducible sequence of assignments.
     """
-    _check_arm_sizes(n, n1)
+    _check_design_sizes(n, n1)
     gen = rng if isinstance(rng, np.random.Generator) else substream(rng)
     z = np.zeros(n, dtype=bool)
     z[gen.permutation(n)[:n1]] = True
@@ -223,7 +223,7 @@ def enumerate_assignments(n: int, n1: int):
     Refuses (with EnumerationTooLargeError) when the count exceeds
     MAX_ENUMERATION, naming the offending count.
     """
-    _check_arm_sizes(n, n1)
+    _check_design_sizes(n, n1)
     total = math.comb(n, n1)
     if total > MAX_ENUMERATION:
         raise EnumerationTooLargeError(

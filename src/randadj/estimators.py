@@ -81,13 +81,6 @@ class ObservedData:
         return self.assignment.z
 
     @cached_property
-    def arms(self) -> dict[int, tuple[np.ndarray, np.floating]]:
-        """{1: (y_1, Ybar_1), 0: (y_0, Ybar_0)}: each arm's outcomes and their
-        mean, gathered once per assignment for the arm fits."""
-        z = self.z
-        return {arm: (y, y.mean()) for arm, y in ((1, self.y[z]), (0, self.y[~z]))}
-
-    @cached_property
     def forms(self) -> ArmForms:
         """This assignment as a block of one (arm_forms), made once for every
         estimator that reads it."""
@@ -170,20 +163,20 @@ def tau_unadj(data: ObservedData) -> float:
     return float(block_unadj(data.forms)[0])
 
 
-def tau_adj(data: ObservedData, forms: ArmForms | None = None) -> float:
+def tau_adj(data: ObservedData) -> float:
     """Regression-adjusted estimator with pooled-covariance slopes (block_adj
-    of this assignment, or of the block of one `forms`).  Raises
-    ArmSingularError when an arm has fewer than 2 units."""
-    return float(block_adj(data.forms if forms is None else forms)[0])
+    of this assignment).  Raises ArmSingularError when an arm has fewer than
+    2 units."""
+    return float(block_adj(data.forms)[0])
 
 
-def debias_correction(data: ObservedData, forms: ArmForms | None = None) -> float:
+def debias_correction(data: ObservedData) -> float:
     """Leverage correction removing the O(p/n) bias of tau_adj.
 
     r1 r0 [ n1^-1 sum_{treated} H_ii (Y_i - Ybar_1) / r1^2
           - n0^-1 sum_{control} H_ii (Y_i - Ybar_0) / r0^2 ].
     """
-    return float(block_debias(data.forms if forms is None else forms)[0])
+    return float(block_debias(data.forms)[0])
 
 
 def tau_db(data: ObservedData) -> float:
@@ -218,7 +211,8 @@ def lin_fit(data: ObservedData) -> LinFit:
         xa = data.hat.xc[z]
         xbar = xa.mean(axis=0)
         xa = xa - xbar
-        ya, ybar = data.arms[arm]
+        ya = data.y[z]
+        ybar = ya.mean()
         yc = ya - ybar
         # LAPACK directly: scipy's cho_factor/cho_solve cost ~30 us a call at small p
         chol, info = dpotrf(xa.T @ xa, lower=1)

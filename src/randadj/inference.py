@@ -6,9 +6,10 @@ paired with a point estimate tau yields the interval
     tau +/- z_{1-level/2} * sqrt(sigma2 / n).
 
 Oracle quantities (computable only from a full potential-outcome table)
-live alongside their sample counterparts (computable from one realized
-experiment); the two families share the same decomposition so that tests
-can compare them term by term.
+live alongside their sample counterparts, block_cb's components over a
+block of realized experiments; both read the H, Q and B forms of
+design.hat_forms and share one decomposition, so tests can compare them
+term by term.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.linalg.blas import dtrsm
 from scipy.special import ndtri
 
-from .design import _hollow, hat_forms
+from .design import hat_forms
 from .estimators import ArmForms, LinFit, ObservedData, ScienceTable, lin_fit
 from .finitepop import sample_variance, scaled_variance
 
@@ -127,7 +128,7 @@ def oracle_variances(table: ScienceTable, r1: float) -> OracleVariances:
 def variance_components(table: ScienceTable, r1: float) -> tuple[float, float, float, float]:
     """Exact four-way split of sigma_hd2 into diagonal / off-diagonal,
     single-arm / cross-arm pieces.  The four terms sum to sigma_hd2 and
-    each has a sample counterpart inside estimate_variance.
+    each has a sample counterpart inside block_cb.
     """
     r1 = _check_r1(r1)
     r0 = 1.0 - r1
@@ -200,43 +201,6 @@ def rl2_curve(alphas, gamma: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sample moments of weighted quadratic forms
-# ---------------------------------------------------------------------------
-
-def _arm_size(data: ObservedData, arm: int) -> int:
-    return data.assignment.n1 if arm == 1 else data.assignment.n0
-
-
-def _centred(data: ObservedData, arms) -> np.ndarray:
-    """One row per arm: Y_i - Ybar_arm on the arm, 0 elsewhere."""
-    if any(arm not in (0, 1) for arm in arms):
-        raise ValueError("arm must be 0 or 1")
-    return data.forms.u[0, [1 - arm for arm in arms]]
-
-
-def sample_diag_quadratic(D, data: ObservedData, arm: int) -> float:
-    """n_z^-1 sum_{i in arm} D_ii (Y_i - Ybar_arm)^2."""
-    u = _centred(data, (arm,))[0]
-    return float(np.diagonal(D) @ (u * u)) / _arm_size(data, arm)
-
-
-def sample_offdiag_quadratic(D, data: ObservedData, arm: int) -> float:
-    """(r_z n_z)^-1 sum_{i != j, both in arm} D_ij u_i u_j with
-    u = Y - Ybar_arm.  Diagonal entries of D never contribute.
-    """
-    hollow, _ = _hollow(np.asarray(D, dtype=float), _centred(data, (arm,)))
-    nz = _arm_size(data, arm)
-    return float(hollow[0, 0]) / (nz / data.assignment.n * nz)
-
-
-def sample_cross_offdiag(D, data: ObservedData) -> float:
-    """(n r1 r0)^-1 sum_{i treated, j control} D_ij (Y_i - Ybar_1)(Y_j - Ybar_0)."""
-    asg = data.assignment
-    hollow, _ = _hollow(np.asarray(D, dtype=float), _centred(data, (1, 0)))
-    return float(hollow[0, 1]) / (asg.n * asg.r1 * asg.r0)
-
-
-# ---------------------------------------------------------------------------
 # the plug-in variance estimator for the debiased estimator
 # ---------------------------------------------------------------------------
 
@@ -293,15 +257,15 @@ def block_cb(forms: ArmForms) -> VarianceEstimate:
     )
 
 
-def estimate_variance(data: ObservedData, forms: ArmForms | None = None) -> VarianceEstimate:
+def estimate_variance(data: ObservedData) -> VarianceEstimate:
     """Assignment-based estimate of the many-covariate variance (block_cb of
-    this assignment, or of the block of one `forms`).
+    this assignment).
 
     Every ingredient is a sample moment over one arm or over the two arms'
     off-diagonal pairs, weighted by entries of H, Q, or B; only observed
     outcomes enter.
     """
-    est = block_cb(data.forms if forms is None else forms)
+    est = block_cb(data.forms)
     return VarianceEstimate(**{k: v[0].item() for k, v in vars(est).items()})
 
 

@@ -1,10 +1,10 @@
 """Exact design expectations of the plug-in moment forms (a test oracle).
 
 Potential outcomes and covariates are fixed; only the completely randomized
-assignment of n1 of the n units is random.  Each plug-in statistic of
-randadj.inference is then a polynomial of degree at most 4 in the
-assignment indicators, and its mean follows from the joint inclusion
-probabilities
+assignment of n1 of the n units is random.  Each plug-in statistic that
+randadj.inference.block_cb combines (plugin_statistics reads them from the
+same hat forms) is then a polynomial of degree at most 4 in the assignment
+indicators, and its mean follows from the joint inclusion probabilities
 
     P(a named units treated, b other named units control)
         = n1^(a) n0^(b) / n^(a+b),
@@ -17,7 +17,7 @@ the coincident indices of the double sum split off by inclusion-exclusion.
 Every mean costs O(n^2) time and O(n) memory beyond the weight matrix.
 
 The module imports nothing from randadj.inference, so it is an independent
-reference for the statistics defined there.
+reference for the statistics combined there.
 """
 
 from __future__ import annotations
@@ -139,6 +139,26 @@ def dense_b(hat) -> np.ndarray:
     with this dense reference."""
     g = 1.0 + hat.leverages
     return np.diag(g * g) - np.outer(g, g) / hat.n - (np.add.outer(g, g) - 1.0) * hat.h
+
+
+def plugin_statistics(forms) -> dict[str, np.ndarray]:
+    """The 15 plug-in statistics of a block of randadj.estimators.ArmForms,
+    each a vector over its assignments, keyed as plugin_moment_means.
+
+    They are the production hat forms (forms.forms) over the rows (u1, u0)
+    with the normalisers of the means below: for arm z in row k, the
+    diagonal [k, k] entry over n_z and the hollow one over r_z n_z; and the
+    hollow [0, 1] entry, between the arms, over n r1 r0.
+    """
+    nz = forms.nz
+    rz = nz / forms.hat.n
+    out = {}
+    for name, (hollow, diagonal) in zip("HQB", forms.forms):
+        for k, z in enumerate((1, 0)):
+            out[f"diag {name} arm {z}"] = diagonal[:, k, k] / nz[:, k]
+            out[f"hollow {name} arm {z}"] = hollow[:, k, k] / (rz[:, k] * nz[:, k])
+        out[f"cross {name}"] = hollow[:, 0, 1] / (forms.hat.n * rz[:, 0] * rz[:, 1])
+    return out
 
 
 def plugin_moment_means(table, n1: int) -> dict[str, float]:

@@ -16,7 +16,12 @@ import time
 import numpy as np
 import pytest
 
-from exact_moments import dense_b, plugin_moment_means, variance_estimate_means
+from exact_moments import (
+    dense_b,
+    plugin_moment_means,
+    plugin_statistics,
+    variance_estimate_means,
+)
 from randadj.cli import config_cells, default_config, main
 from randadj.design import build_hat_structure, complete_randomization, substream
 from randadj.dgp import CellConfig, build_cell, gen_base_tables
@@ -26,21 +31,20 @@ from randadj.estimators import (
     arm_forms,
     block_adj,
     block_debias,
-    observe,
 )
 from randadj.finitepop import sample_variance, scaled_covariance, scaled_variance
 from randadj.harness import enumeration_identity_checks, run_factorial
 from randadj.inference import (
-    estimate_variance,
+    block_cb,
     oracle_variances,
     residuals,
-    sample_cross_offdiag,
-    sample_diag_quadratic,
-    sample_offdiag_quadratic,
     variance_components,
 )
 
 MASTER_SEED = 20250816
+
+#: assignments per block in the Monte Carlo loops of criteria 3, 4 and 8
+DRAW_BLOCK = 100
 
 
 def _verdict(k, name, ok, detail=""):
@@ -145,6 +149,14 @@ def _t3_cell(n, alpha):
     return cfg, build_cell(gen_base_tables(n, "t3", MASTER_SEED), cfg)
 
 
+def _drawn_forms(table, n1, rng):
+    """arm_forms of the next DRAW_BLOCK assignments of n1 treated units drawn
+    from the live generator rng: the same draws in the same order as one
+    complete_randomization call per assignment, evaluated as one block."""
+    z = np.array([complete_randomization(table.hat.n, n1, rng).z for _ in range(DRAW_BLOCK)])
+    return arm_forms(table.hat, np.where(z, table.y1, table.y0), z)
+
+
 def _variance_limits(table, n1):
     """p/n -> 0 limits of E[hd] and E[hd_prime]: sigma_adj2 + S2(tau_e) and
     sigma_adj2 + S2(tau)."""
@@ -162,11 +174,10 @@ def test_criterion_3_variance_inflation():
     rng = substream(MASTER_SEED, 3)
     hd = np.empty(reps)
     hd_prime = np.empty(reps)
-    for r in range(reps):
-        data = observe(table, complete_randomization(cfg.n, cfg.n1, rng))
-        est = estimate_variance(data)
-        hd[r] = est.hd
-        hd_prime[r] = est.hd_prime
+    for first in range(0, reps, DRAW_BLOCK):
+        est = block_cb(_drawn_forms(table, cfg.n1, rng))
+        hd[first:first + DRAW_BLOCK] = est.hd
+        hd_prime[first:first + DRAW_BLOCK] = est.hd_prime
     elapsed = time.perf_counter() - start
 
     # The limits also need every leverage to vanish, and one covariate
@@ -225,13 +236,10 @@ def test_criterion_4_normal_calibration():
         sd = np.sqrt(ov.sigma_hd2)
         rng = substream(MASTER_SEED, 4, cfg.p)
         stats = np.empty(reps)
-        # the same draws in the same order as one tau_db call per assignment,
-        # evaluated through the batched point path 100 assignments at a time
-        for first in range(0, reps, 100):
-            z = np.array([complete_randomization(n, cfg.n1, rng).z for _ in range(100)])
-            forms = arm_forms(table.hat, np.where(z, table.y1, table.y0), z)
+        for first in range(0, reps, DRAW_BLOCK):
+            forms = _drawn_forms(table, cfg.n1, rng)
             tau_db = block_adj(forms) + block_debias(forms)
-            stats[first:first + 100] = np.sqrt(n) * (tau_db - table.tau_bar) / sd
+            stats[first:first + DRAW_BLOCK] = np.sqrt(n) * (tau_db - table.tau_bar) / sd
         q_lo, q_hi = np.quantile(stats, (0.025, 0.975))
         var = stats.var(ddof=1)
         cell_ok = (abs(q_lo + 1.96) <= 0.15 and abs(q_hi - 1.96) <= 0.15
@@ -397,26 +405,16 @@ def _plugin_targets(table):
 def test_criterion_8_plugin_moments():
     start = time.perf_counter()
     cfg, table = _t3_cell(500, 0.2)
-    mats = {"H": table.hat.h, "Q": table.hat.q, "B": dense_b(table.hat)}
-    hollows = {k: v - np.diag(np.diag(v)) for k, v in mats.items()}
     targets = _plugin_targets(table)
     labels = list(targets)
 
     reps = 2000
     rng = substream(MASTER_SEED, 8)
     draws = np.empty((reps, len(labels)))
-    for r in range(reps):
-        data = observe(table, complete_randomization(cfg.n, cfg.n1, rng))
-        col = 0
-        for name in mats:
-            full = mats[name]
-            hollow = hollows[name]
-            for z in (1, 0):
-                draws[r, col] = sample_diag_quadratic(full, data, z)
-                draws[r, col + 1] = sample_offdiag_quadratic(hollow, data, z)
-                col += 2
-            draws[r, col] = sample_cross_offdiag(hollow, data)
-            col += 1
+    # the statistics block_cb combines, read from the block's hat forms
+    for first in range(0, reps, DRAW_BLOCK):
+        stats = plugin_statistics(_drawn_forms(table, cfg.n1, rng))
+        draws[first:first + DRAW_BLOCK] = np.column_stack([stats[lab] for lab in labels])
     elapsed = time.perf_counter() - start
 
     # The plug-ins centre at arm means and normalise by r_z n_z, so their

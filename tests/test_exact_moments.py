@@ -3,30 +3,10 @@
 import numpy as np
 import pytest
 
-from exact_moments import dense_b, plugin_moment_means, variance_estimate_means
+from exact_moments import plugin_moment_means, plugin_statistics, variance_estimate_means
 from randadj.design import build_hat_structure, enumerate_assignments, substream
-from randadj.estimators import ScienceTable, observe
-from randadj.inference import (
-    estimate_variance,
-    sample_cross_offdiag,
-    sample_diag_quadratic,
-    sample_offdiag_quadratic,
-)
-
-
-def _statistics(table, data) -> dict[str, float]:
-    hat = table.hat
-    out = {}
-    for name, mat in (("H", hat.h), ("Q", hat.q), ("B", dense_b(hat))):
-        hollow = mat - np.diag(np.diag(mat))
-        for z in (1, 0):
-            out[f"diag {name} arm {z}"] = sample_diag_quadratic(mat, data, z)
-            out[f"hollow {name} arm {z}"] = sample_offdiag_quadratic(hollow, data, z)
-        out[f"cross {name}"] = sample_cross_offdiag(hollow, data)
-    est = estimate_variance(data)
-    out["hd"] = est.hd
-    out["hd_prime"] = est.hd_prime
-    return out
+from randadj.estimators import ScienceTable, arm_forms
+from randadj.inference import block_cb
 
 
 # unequal arms on both sides of n/2, so that the r_z normalisers and the
@@ -39,13 +19,17 @@ def test_oracle_matches_enumeration(n, n1):
     y1 = 2.0 + 0.5 * y0 + rng.standard_normal(n)
     table = ScienceTable(y1=y1, y0=y0, x=x, hat=build_hat_structure(x))
 
-    draws = [_statistics(table, observe(table, asg))
-             for asg in enumerate_assignments(n, n1)]
+    # every assignment as one block of the production kernel
+    z = np.array([asg.z for asg in enumerate_assignments(n, n1)])
+    forms = arm_forms(table.hat, np.where(z, y1, y0), z)
+    draws = plugin_statistics(forms)
+    est = block_cb(forms)
+    draws["hd"], draws["hd_prime"] = est.hd, est.hd_prime
     exact = plugin_moment_means(table, n1)
     exact["hd"], exact["hd_prime"] = variance_estimate_means(table, n1)
-    assert len(exact) == 17
+    assert len(exact) == 17 and draws.keys() == exact.keys()
 
     for label, want in exact.items():
-        values = np.array([d[label] for d in draws])
-        err = abs(want - values.mean()) / abs(values.mean())
-        assert err <= 1e-12, f"{label}: oracle {want!r}, enumeration {values.mean()!r}"
+        mean = draws[label].mean()
+        err = abs(want - mean) / abs(mean)
+        assert err <= 1e-12, f"{label}: oracle {want!r}, enumeration {mean!r}"

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from exact_moments import dense_b
+from exact_moments import dense_b, plugin_statistics
 from randadj.design import (
     Assignment,
+    _hollow,
     build_hat_structure,
     complete_randomization,
     enumerate_assignments,
     hat_forms,
     substream,
 )
-from randadj.estimators import ScienceTable, lin_fit, observe
+from randadj.estimators import ScienceTable, arm_forms, lin_fit, observe
 from randadj.finitepop import sample_variance, scaled_variance
 from randadj.inference import (
     LeverageOneError,
@@ -22,9 +23,6 @@ from randadj.inference import (
     oracle_variances,
     residuals,
     rl2_curve,
-    sample_cross_offdiag,
-    sample_diag_quadratic,
-    sample_offdiag_quadratic,
     variance_components,
     wald_ci,
 )
@@ -267,36 +265,38 @@ def _loop_cross(dmat, y, z_mask, n):
 
 
 def test_sample_moments_match_loop_oracle_on_every_assignment():
+    # the normalised H, Q and B forms of arm_forms, over all 70 assignments
+    # as one block, against index loops over the dense matrices
     rng = substream(67)
     n = 8
     table = _random_table(rng, n, 2)
-    dmat = rng.standard_normal((n, n))
-    dmat = dmat + dmat.T
-    hollow = dmat.copy()
-    np.fill_diagonal(hollow, 0.0)
-    for asg in enumerate_assignments(n, 4):
-        data = observe(table, asg)
-        for arm, mask in ((1, asg.z), (0, ~asg.z)):
-            got = sample_diag_quadratic(dmat, data, arm)
-            assert got == pytest.approx(_loop_diag(dmat, data.y, mask), rel=1e-11, abs=1e-13)
-            got2 = sample_offdiag_quadratic(hollow, data, arm)
-            assert got2 == pytest.approx(
-                _loop_offdiag(hollow, data.y, mask, n), rel=1e-11, abs=1e-13
-            )
-        got3 = sample_cross_offdiag(hollow, data)
-        assert got3 == pytest.approx(_loop_cross(hollow, data.y, asg.z, n), rel=1e-11, abs=1e-13)
+    z = np.array([asg.z for asg in enumerate_assignments(n, 4)])
+    y = np.where(z, table.y1, table.y0)
+    stats = plugin_statistics(arm_forms(table.hat, y, z))
+    for name, dmat in (("H", table.hat.h), ("Q", table.hat.q), ("B", dense_b(table.hat))):
+        hollow = dmat.copy()
+        np.fill_diagonal(hollow, 0.0)
+        for r, (zr, yr) in enumerate(zip(z, y)):
+            for arm, mask in ((1, zr), (0, ~zr)):
+                assert stats[f"diag {name} arm {arm}"][r] == pytest.approx(
+                    _loop_diag(dmat, yr, mask), rel=1e-11, abs=1e-13)
+                assert stats[f"hollow {name} arm {arm}"][r] == pytest.approx(
+                    _loop_offdiag(hollow, yr, mask, n), rel=1e-11, abs=1e-13)
+            assert stats[f"cross {name}"][r] == pytest.approx(
+                _loop_cross(hollow, yr, zr, n), rel=1e-11, abs=1e-13)
 
 
 def test_offdiag_ignores_diagonal_entries():
     rng = substream(70)
     table = _random_table(rng, 12, 2)
-    data = observe(table, complete_randomization(12, 6, rng))
+    u = observe(table, complete_randomization(12, 6, rng)).forms.u[0, :2]
     dmat = rng.standard_normal((12, 12))
     spiked = dmat.copy()
     np.fill_diagonal(spiked, 1e6)
-    assert sample_offdiag_quadratic(dmat, data, 1) == pytest.approx(
-        sample_offdiag_quadratic(spiked, data, 1), rel=1e-9
-    )
+    hollow, _ = _hollow(dmat, u)
+    spiked_hollow, spiked_diagonal = _hollow(spiked, u)
+    assert spiked_hollow == pytest.approx(hollow, rel=1e-9)
+    assert spiked_diagonal == pytest.approx(1e6 * (u @ u.T), rel=1e-13)
 
 
 # ------------------------------------------------------- variance estimate

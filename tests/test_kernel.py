@@ -40,7 +40,6 @@ from randadj.inference import (
     block_cb,
     estimate_variance,
     neyman_variance_unadj,
-    sample_diag_quadratic,
 )
 from test_inference import CLAMP_TREATED, CLAMP_X, CLAMP_Y0, CLAMP_Y1
 
@@ -112,8 +111,7 @@ def test_block_counts_clamped_replicates():
 
 
 def test_one_unit_arm_views():
-    # the difference in means is defined with one treated unit; tau_adj and
-    # a sample moment of a bad arm are not
+    # the difference in means is defined with one treated unit; tau_adj is not
     table = _table(substream(8102), 8, 1)
     z = np.zeros(8, dtype=bool)
     z[3] = True
@@ -121,8 +119,6 @@ def test_one_unit_arm_views():
     assert tau_unadj(data) == pytest.approx(table.y1[3] - np.delete(table.y0, 3).mean(), rel=1e-14)
     with pytest.raises(ArmSingularError, match="arm 1"):
         tau_adj(data)
-    with pytest.raises(ValueError, match="arm must be 0 or 1"):
-        sample_diag_quadratic(np.eye(8), data, 2)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.5])
