@@ -41,7 +41,6 @@ from .estimators import (
 from .finitepop import (
     sample_variance,
     scale,
-    scaled_covariance,
     scaled_variance,
 )
 from .harness import (

@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 import scipy
@@ -224,7 +225,8 @@ def cmd_simulate(args) -> int:
     out_dir = _resolve_out_dir(args.out)
     os.makedirs(out_dir, exist_ok=True)
     cells = config_cells(cfg)
-    base = gen_base_tables(cfg["n"], cfg["covariate_dist"], cfg["seed"])
+    base = gen_base_tables(cfg["n"], cfg["covariate_dist"], cfg["seed"],
+                           max(cell.p for cell in cells))
     results = run_factorial(base, cells, cfg["reps"], cfg["seed"],
                             level=cfg["level"], workers=args.threads)
     csv_path = os.path.join(out_dir, "results.csv")
@@ -253,26 +255,40 @@ def cmd_simulate(args) -> int:
 # analyze
 # ---------------------------------------------------------------------------
 
+def _data_lines(fh):
+    """The lines of fh, refusing a blank one, which np.loadtxt would skip:
+    the data row numbers in error messages count every line."""
+    for row, line in enumerate(fh, start=1):
+        if line.isspace():
+            raise ValueError(f"blank line at data row {row}")
+        yield line
+
+
 def _read_observed_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = list(reader)
+        # a byte that is not UTF-8 becomes U+FFFD, which no header name or
+        # number matches, so such a file exits 2 like any other bad cell
+        fh = open(path, "r", encoding="utf-8", errors="replace")
     except FileNotFoundError as err:
         raise ConfigError(f"input file not found: {path}") from err
-    if not header or len(header) < 3:
-        raise ConfigError("input must have columns Y, Z, X_1..X_p")
-    p = len(header) - 2
-    expected = ["Y", "Z"] + [f"X_{j}" for j in range(1, p + 1)]
-    if header != expected:
-        raise ConfigError(
-            f"bad header: expected {','.join(expected[:4])},... got {','.join(header[:4])},...")
-    try:
-        data = np.array(rows, dtype=float)
-    except ValueError as err:
-        raise ConfigError(f"non-numeric cell in input: {err}") from err
-    if data.ndim != 2 or data.shape[0] < 4 or data.shape[1] != p + 2:
+    with fh:
+        header = next(csv.reader(fh), None)
+        if not header or len(header) < 3:
+            raise ConfigError("input must have columns Y, Z, X_1..X_p")
+        p = len(header) - 2
+        expected = ["Y", "Z"] + [f"X_{j}" for j in range(1, p + 1)]
+        if header != expected:
+            raise ConfigError(
+                f"bad header: expected {','.join(expected[:4])},... got {','.join(header[:4])},...")
+        try:
+            with warnings.catch_warnings():
+                # a header-only file warns here; the row count check below refuses it
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(_data_lines(fh), delimiter=",", dtype=float, ndmin=2,
+                                  comments=None, quotechar='"')
+        except ValueError as err:
+            raise ConfigError(f"malformed data in input: {err}") from err
+    if data.shape[0] < 4 or data.shape[1] != p + 2:
         raise ConfigError("input needs at least 4 complete rows")
     if p >= data.shape[0]:
         raise ConfigError(f"need fewer covariates than rows: n = {data.shape[0]}, p = {p}")

@@ -27,7 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpotrf
 
 #: eigenvalue-ratio threshold below which the covariate Gram matrix is
 #: treated as numerically singular
@@ -90,8 +91,10 @@ def build_hat_structure(X) -> HatStructure:
 
     Requires 1 <= p < n and a numerically nonsingular centered Gram matrix
     (smallest/largest eigenvalue ratio above COND_EPS).  The inverse
-    covariance is never formed explicitly; all solves go through a
-    Cholesky factorization of xc'xc.
+    covariance is never formed: with L the Cholesky factor of xc'xc, one
+    triangular solve gives C = L^-1 xc' (p x n), and H = C'C.  numpy
+    evaluates C'C with BLAS syrk, which computes one triangle and mirrors
+    it, so H is exactly symmetric.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -110,10 +113,15 @@ def build_hat_structure(X) -> HatStructure:
             f"centered covariate Gram is numerically singular: eigenvalue ratio "
             f"{evals[0] / evals[-1]:.3e} below {COND_EPS:.0e}"
         )
-    chol = cho_factor(gram, lower=True)
-
-    h = xc @ cho_solve(chol, xc.T)
-    h = (h + h.T) / 2.0  # symmetrize away factorization roundoff
+    # LAPACK and BLAS directly: cho_solve would take two triangular solves
+    # and an n x n x p product for the same H
+    chol, info = dpotrf(gram, lower=1)
+    if info:
+        raise SingularCovariatesError(
+            f"Cholesky factorization of the centered covariate Gram failed: "
+            f"{info}-th leading minor is not positive definite")
+    c = dtrsm(1.0, chol, xc.T, lower=1)
+    h = c.T @ c
     lev = np.diag(h).copy()
 
     q = h * h

@@ -1,6 +1,6 @@
 """Synthetic potential-outcome tables for the factorial simulation.
 
-A master table of raw material (an n x n covariate pool, slope vectors,
+A master table of raw material (an n-row covariate pool, slope vectors,
 intercepts) is drawn once per seed from a heavy-tailed distribution; each
 simulation cell then slices the first p columns, forms linear predictors,
 and adds either adversarial leverage-aligned residuals or fresh
@@ -45,14 +45,21 @@ def _open_uniform(rng: np.random.Generator, size) -> np.ndarray:
     return (rng.integers(0, 1 << 53, size=size).astype(np.float64) + 0.5) / float(1 << 53)
 
 
+#: inverse CDFs, applied elementwise to open uniforms
+_QUANTILES = {
+    "t3": lambda u: stdtrit(3, u),
+    "cauchy": lambda u: np.tan(np.pi * (u - 0.5)),
+}
+
+
 def sample_t3(rng: np.random.Generator, size) -> np.ndarray:
     """i.i.d. t distribution with 3 degrees of freedom, via inverse CDF."""
-    return stdtrit(3, _open_uniform(rng, size))
+    return _QUANTILES["t3"](_open_uniform(rng, size))
 
 
 def sample_cauchy(rng: np.random.Generator, size) -> np.ndarray:
     """i.i.d. standard Cauchy, via inverse CDF."""
-    return np.tan(np.pi * (_open_uniform(rng, size) - 0.5))
+    return _QUANTILES["cauchy"](_open_uniform(rng, size))
 
 
 _SAMPLERS = {"t3": sample_t3, "cauchy": sample_cauchy}
@@ -79,27 +86,35 @@ class BaseTables:
     n: int
     dist: str
     seed: int
-    cal_x: np.ndarray      # n x n covariate pool; cells take the first p columns
+    cal_x: np.ndarray      # n x p_max covariate pool; cells take the first p columns
     beta: np.ndarray       # length n
     delta_vec: np.ndarray  # length n
     mu1: float
     mu0: float
 
 
-def gen_base_tables(n: int, dist: str, seed: int) -> BaseTables:
+def gen_base_tables(n: int, dist: str, seed: int, p: int | None = None) -> BaseTables:
     """Draw the master tables for one seed.
 
     Draw order is fixed (covariate pool row-major, then beta, then the
     slope perturbation, then the two intercepts) so that tables are
-    byte-stable for a given (n, dist, seed).
+    byte-stable for a given (n, dist, seed).  `p`, when given, keeps only
+    the first p columns of the pool, the most any cell of the run reads:
+    the whole n x n uniform lattice is still drawn, so every later draw
+    and every kept entry equals the full draw's, but the quantile
+    function runs on p columns only.
     """
     if dist not in COVARIATE_DISTS:
         raise ValueError(f"covariate distribution must be one of {COVARIATE_DISTS}")
     if n < 4:
         raise ValueError("need at least 4 units")
+    if p is None:
+        p = n
+    if not 1 <= p <= n:
+        raise ValueError(f"need 1 <= p <= n, got n={n}, p={p}")
     rng = substream(seed, _BASE_TAG)
+    cal_x = _QUANTILES[dist](np.ascontiguousarray(_open_uniform(rng, (n, n))[:, :p]))
     draw = _SAMPLERS[dist]
-    cal_x = draw(rng, (n, n))
     beta = draw(rng, n)
     delta_vec = draw(rng, n)
     mu1, mu0 = draw(rng, 2)
@@ -207,6 +222,9 @@ def build_cell(base: BaseTables, cfg: CellConfig, hat: HatStructure | None = Non
     if cfg.covariate_dist != base.dist:
         raise ValueError("cell covariate distribution does not match the base tables")
     p = cfg.p
+    if p > base.cal_x.shape[1]:
+        raise ValueError(f"cell needs p={p} covariates; the base tables hold "
+                         f"{base.cal_x.shape[1]}")
     x = base.cal_x[:, :p]
     if hat is None:
         hat = build_hat_structure(x)

@@ -7,7 +7,6 @@ n, using the finite-population convention with divisor n - 1:
 
     S2(a)      = (n-1)^-1 sum_i (a_i - abar)^2
     S2(A, a)   = (n-1)^-1 sum_{i,j} A_ij (a_i - abar)(a_j - abar)
-    S(A, a, b) = (n-1)^-1 sum_{i,j} A_ij (a_i - abar)(b_j - bbar)
 
 S2(A, a) reduces to S2(a) when A is the identity.
 """
@@ -48,19 +47,6 @@ def scaled_variance(A, a) -> float:
     A = _as_weight_matrix(A, a.shape[0])
     ac = a - a.mean()
     return float(ac @ (A @ ac) / (a.shape[0] - 1))
-
-
-def scaled_covariance(A, a, b) -> float:
-    """S(A, a, b): bilinear form of A on the two centered vectors.
-
-    Not symmetric in (a, b) unless A is symmetric.
-    """
-    a = _as_pop_vector(a)
-    b = _as_pop_vector(b)
-    if a.shape != b.shape:
-        raise ValueError("covariance needs vectors of equal length")
-    A = _as_weight_matrix(A, a.shape[0])
-    return float((a - a.mean()) @ (A @ (b - b.mean())) / (a.shape[0] - 1))
 
 
 def scale(a) -> np.ndarray:

@@ -623,7 +623,7 @@ def statistical_checks(seed: int = 0) -> list[CheckOutcome]:
 
     cfg = CellConfig(n=200, r1=0.35, alpha=0.1, delta=0.25, gamma=3.0,
                      residual="t3")
-    base = gen_base_tables(cfg.n, cfg.covariate_dist, seed)
+    base = gen_base_tables(cfg.n, cfg.covariate_dist, seed, cfg.p)
     table = build_cell(base, cfg)
     res = run_cell(table, cfg, reps=400, seed=seed, level=0.05)
     m = res.metrics["hd"]

@@ -132,6 +132,18 @@ def cross_offdiag_mean(w, y1, y0, n1: int) -> float:
     return inclusion(n1, n0, 1, 1) * _hollow_sum(np.asarray(w, dtype=float), pair) / (n1 * n0 / n)
 
 
+def scaled_covariance(a_mat, a, b) -> float:
+    """S(A, a, b) = (n-1)^-1 sum_{i,j} A_ij (a_i - abar)(b_j - bbar), the
+    finite-population bilinear form of A on two centred vectors; not
+    symmetric in (a, b) unless A is.  The package needs only its quadratic
+    case (randadj.finitepop.scaled_variance); tests use this as a reference."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError("covariance needs vectors of equal length")
+    return float(_centered(a) @ (np.asarray(a_mat, dtype=float) @ _centered(b)) / (a.shape[0] - 1))
+
+
 def dense_b(hat) -> np.ndarray:
     """The n x n matrix B = M'M of randadj.design, from its entrywise closed
     form B_ij = g_i g_j (delta_ij - 1/n) - (g_i + g_j - 1) H_ij with

@@ -20,6 +20,7 @@ from exact_moments import (
     dense_b,
     plugin_moment_means,
     plugin_statistics,
+    scaled_covariance,
     variance_estimate_means,
 )
 from randadj.cli import config_cells, default_config, main
@@ -32,7 +33,7 @@ from randadj.estimators import (
     block_adj,
     block_debias,
 )
-from randadj.finitepop import sample_variance, scaled_covariance, scaled_variance
+from randadj.finitepop import sample_variance, scaled_variance
 from randadj.harness import enumeration_identity_checks, run_factorial
 from randadj.inference import (
     block_cb,

@@ -289,6 +289,71 @@ def test_analyze_rejects_non_finite_cells(capsys, tmp_path, cell, column):
     assert f"column {column}" in msg["message"] and "row 4" in msg["message"]
 
 
+#: six data rows, n1 = n0 = 3, for the CSV contract cases below
+_ROWS = ["0.5,1,2", "1.5,1,1", "2,1,0.5", "1,0,1", "2,0,0", "0,0,3"]
+
+
+def _csv_text(rows, newline="\n"):
+    return newline.join(["Y,Z,X_1"] + rows) + newline
+
+
+@pytest.mark.parametrize("text, words", [
+    (_csv_text(_ROWS[:2] + ["abc,1,0.5"] + _ROWS[3:]), ""),
+    (_csv_text(_ROWS[:2] + [",1,0.5"] + _ROWS[3:]), ""),
+    (_csv_text(_ROWS[:2] + ["2,1"] + _ROWS[3:]), ""),
+    (_csv_text(_ROWS[:2] + ["2,1,0.5,"] + _ROWS[3:]), ""),
+    (_csv_text(_ROWS[:2] + [""] + _ROWS[2:]), "blank line at data row 3"),
+    (_csv_text(_ROWS[:2] + ["  "] + _ROWS[2:]), "blank line at data row 3"),
+    (_csv_text(_ROWS) + "\n", "blank line at data row 7"),
+    ("Y,Z,X_1\n", ""),
+    (_csv_text(_ROWS[:2] + ["2,1,0#5"] + _ROWS[3:]), ""),
+    (_csv_text(["1_0,1,2"] + _ROWS[1:]), ""),
+    # "\udcff" is written as the byte 0xff, which is not UTF-8
+    (_csv_text(_ROWS).replace("X_1", "X_\udcff1"), ""),
+    (_csv_text(_ROWS[:2] + ["2,1,0.\udcff5"] + _ROWS[3:]), ""),
+], ids=["non-numeric", "empty-cell", "short-row", "trailing-comma", "blank-line",
+        "whitespace-line", "blank-last-line", "header-only", "hash-in-cell", "underscore",
+        "bad-utf8-header", "bad-utf8-cell"])
+def test_analyze_rejects_malformed_rows(capsys, tmp_path, recwarn, text, words):
+    in_path = tmp_path / "obs.csv"
+    in_path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    code, _, err = _run(capsys, ["analyze", "--input", str(in_path)])
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    msg = json.loads(err)
+    assert msg["error"] == "config" and words in msg["message"]
+    assert not recwarn.list
+
+
+def test_analyze_reads_quoted_cells_and_crlf(capsys, tmp_path):
+    quoted = [",".join(f'"{v}"' for v in row.split(",")) for row in _ROWS]
+    reports = []
+    for k, text in enumerate((_csv_text(_ROWS), _csv_text(quoted, "\r\n"))):
+        in_path, out_path = tmp_path / f"obs{k}.csv", tmp_path / f"report{k}.json"
+        in_path.write_bytes(text.encode())
+        code, _, _ = _run(capsys, ["analyze", "--input", str(in_path), "--out", str(out_path)])
+        assert code == 0
+        reports.append(json.loads(out_path.read_text()))
+    assert reports[0] == reports[1]
+    assert reports[0]["n"] == 6 and reports[0]["p"] == 1
+
+
+def test_analyze_failed_covariate_cholesky_exits_3(capsys, tmp_path, monkeypatch):
+    """A Gram that passes the eigenvalue check but fails LAPACK's Cholesky
+    (simulated: no such input is known) is a singular-covariates guard."""
+    import randadj.design as design
+
+    real = design.dpotrf
+    monkeypatch.setattr(design, "dpotrf", lambda a, lower=0: (real(a, lower=lower)[0], 2))
+    in_path = tmp_path / "obs.csv"
+    _write_observed(in_path)
+    code, _, err = _run(capsys, ["analyze", "--input", str(in_path)])
+    assert code == 3
+    assert len(err.splitlines()) == 1
+    msg = json.loads(err)
+    assert msg["error"] == "SingularCovariatesError" and "2-th leading minor" in msg["message"]
+
+
 @pytest.mark.parametrize("level", ["1.5", "0", "nan"])
 def test_analyze_rejects_bad_level(capsys, tmp_path, level):
     in_path = tmp_path / "obs.csv"

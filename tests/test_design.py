@@ -73,6 +73,18 @@ def test_projection_invariants_random():
         np.testing.assert_allclose(diag_b, np.diag(want_bdiag), atol=1e-9)
 
 
+@pytest.mark.parametrize("p", [20, 100, 190])
+def test_hat_is_exactly_symmetric_and_the_qr_projector(p):
+    """H = C'C (syrk) is symmetric bit for bit, and it is the projector
+    Q Q' onto the centred column span, at p/n of 0.1, 0.5 and 0.95."""
+    n = 200
+    x = np.random.default_rng([23, p]).standard_normal((n, p))
+    h = build_hat_structure(x).h
+    assert np.array_equal(h, h.T)
+    q = np.linalg.qr(x - x.mean(axis=0))[0]
+    np.testing.assert_allclose(h, q @ q.T, rtol=0, atol=1e-12)
+
+
 def test_hat_affine_invariance():
     """The projection depends only on the centered column span."""
     rng = np.random.default_rng(22)

@@ -30,6 +30,26 @@ def test_base_tables_deterministic():
     assert a.cal_x.shape == (50, 50)
 
 
+@pytest.mark.parametrize("dist", ["t3", "cauchy"])
+@pytest.mark.parametrize("n, p", [(8, 1), (40, 13), (50, 50), (120, 47)])
+def test_base_tables_cut_to_p_equal_the_full_draw(dist, n, p):
+    """Cutting the pool to p columns moves no later draw: every table is
+    the full draw's, bit for bit."""
+    full = gen_base_tables(n, dist, 31)
+    cut = gen_base_tables(n, dist, 31, p)
+    assert cut.cal_x.shape == (n, p) and cut.cal_x.flags.c_contiguous
+    assert cut.cal_x.tobytes() == np.ascontiguousarray(full.cal_x[:, :p]).tobytes()
+    for name in ("beta", "delta_vec"):
+        assert getattr(cut, name).tobytes() == getattr(full, name).tobytes()
+    assert (cut.mu1, cut.mu0) == (full.mu1, full.mu0)
+
+
+@pytest.mark.parametrize("p", [0, 31])
+def test_base_tables_reject_pool_width_outside_1_to_n(p):
+    with pytest.raises(ValueError, match=f"p={p}"):
+        gen_base_tables(30, "t3", 5, p)
+
+
 def test_base_tables_distinct_draws():
     t = gen_base_tables(40, "t3", 9)
     # the five blocks come from one stream in a fixed order, no reuse
@@ -204,3 +224,7 @@ def test_build_cell_rejects_mismatched_base():
                       residual="t3", covariate_dist="cauchy")
     with pytest.raises(ValueError):
         build_cell(base, cfg2)
+    # alpha=0.2 needs p=6 columns, more than a pool cut to 5 holds
+    cfg3 = CellConfig(n=30, r1=0.35, alpha=0.2, delta=0.25, gamma=0.5, residual="t3")
+    with pytest.raises(ValueError, match="p=6"):
+        build_cell(gen_base_tables(30, "t3", 5, 5), cfg3)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from exact_moments import scaled_covariance
 from randadj.finitepop import (
     sample_variance,
     scale,
-    scaled_covariance,
     scaled_variance,
 )
 

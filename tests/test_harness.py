@@ -104,6 +104,23 @@ def test_run_factorial_builds_one_hat_per_p(monkeypatch):
         assert all(vars(own.metrics[e]) == vars(results[k].metrics[e]) for e in ESTIMATORS)
 
 
+@pytest.mark.parametrize("dist", ["t3", "cauchy"])
+def test_results_bytes_do_not_depend_on_pool_width(tmp_path, dist):
+    """simulate cuts the covariate pool to the grid's largest p; the
+    results.csv bytes are those of the full n x n pool."""
+    from randadj.cli import config_cells, default_config
+
+    cfg = dict(default_config(full=False), n=60, covariate_dist=dist)
+    cells = config_cells(cfg)
+    written = []
+    for width in (None, max(cell.p for cell in cells)):
+        base = gen_base_tables(cfg["n"], dist, cfg["seed"], width)
+        path = tmp_path / f"results-{width}.csv"
+        results_to_csv(run_factorial(base, cells, reps=6, seed=3, workers=1), str(path))
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("n1", [1, 5])
 def test_enumeration_check_rejects_one_unit_arm(n1):
     rng = substream(93)
