@@ -19,6 +19,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import sys
 import warnings
 
@@ -255,12 +256,14 @@ def cmd_simulate(args) -> int:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _data_lines(fh):
-    """The lines of fh, refusing a blank one, which np.loadtxt would skip:
-    the data row numbers in error messages count every line."""
+def _data_lines(fh, read: list[int]):
+    """The lines of fh, refusing a blank one, which np.loadtxt would skip.
+    read[0] counts the lines yielded: np.loadtxt pulls one at a time, so
+    when it fails read[0] is the failing data row, counting every line."""
     for row, line in enumerate(fh, start=1):
+        read[0] = row
         if line.isspace():
-            raise ValueError(f"blank line at data row {row}")
+            raise ConfigError(f"blank line at data row {row}")
         yield line
 
 
@@ -280,14 +283,20 @@ def _read_observed_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if header != expected:
             raise ConfigError(
                 f"bad header: expected {','.join(expected[:4])},... got {','.join(header[:4])},...")
+        read = [0]
         try:
             with warnings.catch_warnings():
                 # a header-only file warns here; the row count check below refuses it
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                data = np.loadtxt(_data_lines(fh), delimiter=",", dtype=float, ndmin=2,
+                data = np.loadtxt(_data_lines(fh, read), delimiter=",", dtype=float, ndmin=2,
                                   comments=None, quotechar='"')
+        except ConfigError:
+            raise
         except ValueError as err:
-            raise ConfigError(f"malformed data in input: {err}") from err
+            # numpy's own row number counts from 0 for a bad cell and from 1
+            # for a short row, so it is dropped for read[0]
+            detail = re.sub(r" at row \d+", "", str(err)).split(";")[0]
+            raise ConfigError(f"malformed data at data row {read[0]}: {detail}") from err
     if data.shape[0] < 4 or data.shape[1] != p + 2:
         raise ConfigError("input needs at least 4 complete rows")
     if p >= data.shape[0]:

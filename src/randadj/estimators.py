@@ -105,12 +105,16 @@ class ArmForms:
     hat_forms' (hollow, diagonal) pairs of H, Q and B over those rows, each
     R x 3 x 3, made on first use from one product of all 3R rows with H and
     one with Q.  Every H-based estimate of the block is a vector over it.
+    y and z are the observed outcomes and assignments that arm_forms was
+    given (R x n, not copied), which the arm-specific fits read row by row.
     """
 
     hat: HatStructure
     nz: np.ndarray
     ybar: np.ndarray
     u: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
 
     @cached_property
     def forms(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -128,7 +132,7 @@ def arm_forms(hat: HatStructure, y: np.ndarray, z: np.ndarray) -> ArmForms:
         ybar[:, k] = np.where(mask, y, 0.0).sum(axis=1) / nz[:, k]
         u[:, k] = np.where(mask, y - ybar[:, k, None], 0.0)
     u[:, 2] = z
-    return ArmForms(hat=hat, nz=nz, ybar=ybar, u=u)
+    return ArmForms(hat=hat, nz=nz, ybar=ybar, u=u, y=y, z=z)
 
 
 def block_unadj(forms: ArmForms) -> np.ndarray:
@@ -186,10 +190,12 @@ def tau_db(data: ObservedData) -> float:
 
 @dataclass(frozen=True)
 class LinFit:
-    """Arm-specific OLS fits: tau_lin, in-arm residuals (arm order), and the
-    arm-centered Grams' Cholesky factors, each with L in its lower triangle."""
+    """Arm-specific OLS fits: tau_lin and tau_lin_db, in-arm residuals (arm
+    order), and the arm-centered Grams' Cholesky factors, each with L in its
+    lower triangle."""
 
     tau: float
+    tau_db: float
     resid1: np.ndarray
     resid0: np.ndarray
     chol1: np.ndarray
@@ -199,8 +205,11 @@ class LinFit:
 def lin_fit(data: ObservedData) -> LinFit:
     """Fit Y on X with an intercept separately in each arm.
 
-    Raises ArmSingularError (naming the arm) when an arm has n_z <= p or a
-    numerically collinear centered covariate matrix.
+    tau_db adds lin_db's correction, which weights the residuals by the
+    pooled leverages: (n0/n1^2) sum_{treated} H_ii e_i(1) - (n1/n0^2)
+    sum_{control} H_ii e_i(0).  Raises ArmSingularError (naming the arm)
+    when an arm has n_z <= p or a numerically collinear centered covariate
+    matrix.
     """
     out = {}
     p = data.hat.p
@@ -221,9 +230,12 @@ def lin_fit(data: ObservedData) -> LinFit:
                 arm, f"{info}-th leading minor of the array is not positive definite")
         beta = dpotrs(chol, xa.T @ yc, lower=1)[0]
         # the arm's mean of Y_i - beta'(X_i - Xbar), with the pooled mean Xbar
-        out[arm] = (ybar - xbar @ beta, yc - xa @ beta, chol)
-    return LinFit(tau=float(out[1][0] - out[0][0]), resid1=out[1][1], resid0=out[0][1],
-                  chol1=out[1][2], chol0=out[0][2])
+        out[arm] = (ybar - xbar @ beta, yc - xa @ beta, chol, nz, data.hat.leverages[z])
+    (a1, e1, chol1, n1, lev1), (a0, e0, chol0, n0, lev0) = out[1], out[0]
+    tau = float(a1 - a0)
+    corr = n0 / n1**2 * (lev1 @ e1) - n1 / n0**2 * (lev0 @ e0)
+    return LinFit(tau=tau, tau_db=tau + float(corr), resid1=e1, resid0=e0,
+                  chol1=chol1, chol0=chol0)
 
 
 def tau_lin(data: ObservedData, fit: LinFit | None = None) -> float:
@@ -234,17 +246,7 @@ def tau_lin(data: ObservedData, fit: LinFit | None = None) -> float:
 
 
 def tau_lin_db(data: ObservedData, fit: LinFit | None = None) -> float:
-    """tau_lin plus its leverage-based bias correction.
-
-    The correction weights the arm-specific OLS residuals by the pooled
-    leverages: (n0/n1^2) sum_{treated} H_ii e_i(1) - (n1/n0^2) sum_{control} H_ii e_i(0).
-    """
+    """tau_lin plus its leverage-based bias correction (see lin_fit)."""
     if fit is None:
         fit = lin_fit(data)
-    asg = data.assignment
-    lev = data.hat.leverages
-    corr = (
-        asg.n0 / asg.n1**2 * (lev[data.z] @ fit.resid1)
-        - asg.n1 / asg.n0**2 * (lev[~data.z] @ fit.resid0)
-    )
-    return tau_lin(data, fit) + float(corr)
+    return fit.tau_db

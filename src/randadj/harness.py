@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import complete_randomization, enumerate_assignments, hat_forms, substream
+from .design import Assignment, complete_randomization, enumerate_assignments, hat_forms, substream
 from .dgp import BaseTables, CellConfig, _PURPOSE_ASSIGN, build_cell, cell_key
 from .estimators import (
     ArmForms,
@@ -39,8 +39,6 @@ from .estimators import (
     block_debias,
     block_unadj,
     lin_fit,
-    tau_lin,
-    tau_lin_db,
 )
 from .inference import (
     LeverageOneError,
@@ -109,44 +107,70 @@ class CellResult:
 _BLOCK_ENTRIES = 1 << 16
 
 
-def block_estimates(forms: ArmForms) -> dict[str, np.ndarray]:
-    """The H-based points (unadj, hd_undb, hd) and variances (neyman, cb,
-    and cb_clamped as 0/1) of a block of assignments, each a vector over
-    the block.  Raises ArmSingularError when an arm has fewer than 2 units."""
+def block_estimates(forms: ArmForms, hc3: bool = True) -> tuple[dict, dict]:
+    """Every estimate of a block of assignments, each a vector over the
+    block: the points of ESTIMATORS and the variances neyman, cb, hc3
+    (unless hc3 is False) and cb_clamped as 0/1.  Returns them with the
+    first NA reason in block order of each name that is NaN in some row.
+
+    The H-based estimates run on the whole block; lin, lin_db and HC3 fit
+    each row's arms.  Raises ArmSingularError when an arm has fewer than 2
+    units.
+    """
     adj = block_adj(forms)
     est = block_cb(forms)
-    return {"unadj": block_unadj(forms), "hd_undb": adj, "hd": adj + block_debias(forms),
-            "neyman": block_neyman(forms), "cb": est.combined,
-            "cb_clamped": est.clamped.astype(float)}
-
-
-def _lin_estimates(data: ObservedData, hc3: bool = True) -> tuple[dict, dict, dict]:
-    """lin and lin_db, and with hc3 their HC3 variance, for one assignment,
-    as (points, variances, na_reasons)."""
-    try:
-        fit = lin_fit(data)
-    except ArmSingularError as err:
-        return {}, {}, dict.fromkeys(("lin", "lin_db", "hc3"), str(err))
-    points = {"lin": tau_lin(data, fit), "lin_db": tau_lin_db(data, fit)}
-    if not hc3:
-        return points, {}, {}
-    try:
-        return points, {"hc3": hc3_variance(data, fit)}, {}
-    except LeverageOneError as err:
-        return points, {}, {"hc3": str(err)}
+    out = {"unadj": block_unadj(forms), "hd_undb": adj, "hd": adj + block_debias(forms),
+           "neyman": block_neyman(forms), "cb": est.combined,
+           "cb_clamped": est.clamped.astype(float)}
+    lin_names = ("lin", "lin_db", "hc3") if hc3 else ("lin", "lin_db")
+    out |= {name: np.full(len(forms.nz), np.nan) for name in lin_names}
+    na: dict[str, str] = {}
+    hat = forms.hat
+    for r, (y, z) in enumerate(zip(forms.y, forms.z)):
+        # the fits read the hat's centred covariates, so they stand in for x
+        data = ObservedData(y=y, assignment=Assignment(z=z, n=hat.n, n1=int(forms.nz[r, 0])),
+                            x=hat.xc, hat=hat)
+        try:
+            fit = lin_fit(data)
+        except ArmSingularError as err:
+            for name in lin_names:
+                na.setdefault(name, str(err))
+            continue
+        out["lin"][r], out["lin_db"][r] = fit.tau, fit.tau_db
+        if hc3:
+            try:
+                out["hc3"][r] = hc3_variance(data, fit)
+            except LeverageOneError as err:
+                na.setdefault("hc3", str(err))
+    return out, na
 
 
 def replicate_estimates(data: ObservedData) -> tuple[dict, dict, dict]:
     """Point estimates and paired variances for one realized assignment:
-    block_estimates of this assignment, then lin, lin_db and HC3.
+    block_estimates of this assignment as a block of one.
 
     Returns (points, variances, na_reasons); failed entries are absent
     from the first two dicts and explained in the third.
     """
-    block = {k: float(v[0]) for k, v in block_estimates(data.forms).items()}
-    points, variances, na = _lin_estimates(data)
-    return ({e: block[e] for e in ("unadj", "hd_undb", "hd")} | points,
-            {v: block[v] for v in ("neyman", "cb", "cb_clamped")} | variances, na)
+    values, na = block_estimates(data.forms)
+    defined = {name: float(v[0]) for name, v in values.items() if name not in na}
+    return ({name: v for name, v in defined.items() if name in ESTIMATORS},
+            {name: v for name, v in defined.items() if name not in ESTIMATORS}, na)
+
+
+def _evaluate(table: ScienceTable, z_blocks, hc3: bool = True):
+    """block_estimates over blocks of assignments of the table (each an
+    R x n boolean array), as (values joined in block order, the first NA
+    reason of each name, arm means R x 2)."""
+    values, na, ybar = [], {}, []
+    for z in z_blocks:
+        forms = arm_forms(table.hat, np.where(z, table.y1, table.y0), z)
+        block, block_na = block_estimates(forms, hc3)
+        values.append(block)
+        na = block_na | na
+        ybar.append(forms.ybar)
+    return ({name: np.concatenate([b[name] for b in values]) for name in values[0]},
+            na, np.concatenate(ybar))
 
 
 def _blocks(items, n: int):
@@ -165,9 +189,7 @@ def run_cell(
 ) -> CellResult:
     """Monte Carlo over `reps` assignments of one cell's table.
 
-    Replicates run in blocks: block_estimates evaluates the H-based
-    estimators of a whole block at once, and lin/lin_db/HC3 follow one
-    assignment at a time.
+    Replicates run in blocks, each evaluated by block_estimates.
     """
     if reps < 2:
         raise ValueError("need at least 2 replicates")
@@ -176,43 +198,18 @@ def run_cell(
     key = cell_key(cfg)
     ov = oracle_variances(table, r1)
     tau_bar = table.tau_bar
-
-    pts = {e: np.full(reps, np.nan) for e in ESTIMATORS}
-    var = {v: np.full(reps, np.nan) for v in ("neyman", "cb", "hc3")}
-    point_na: dict[str, str] = {}
-    var_na: dict[str, str] = {}
-    clamped = 0
-
-    for reps_block in _blocks(range(reps), n):
-        asgs = [complete_randomization(n, n1, substream(seed, key, _PURPOSE_ASSIGN, rep))
-                for rep in reps_block]
-        z = np.array([asg.z for asg in asgs])
-        y = np.where(z, table.y1, table.y0)
-        block = block_estimates(arm_forms(table.hat, y, z))
-        rows = slice(reps_block[0], reps_block[-1] + 1)
-        for e in ("unadj", "hd_undb", "hd"):
-            pts[e][rows] = block[e]
-        for v in ("neyman", "cb"):
-            var[v][rows] = block[v]
-        clamped += int(block["cb_clamped"].sum())
-        for rep, asg, y_rep in zip(reps_block, asgs, y):
-            points, variances, na = _lin_estimates(
-                ObservedData(y=y_rep, assignment=asg, x=table.x, hat=table.hat))
-            for e, v in points.items():
-                pts[e][rep] = v
-            for v, value in variances.items():
-                var[v][rep] = value
-            for name, reason in na.items():
-                (var_na if name == "hc3" else point_na).setdefault(name, reason)
+    est, na, _ = _evaluate(table, (
+        np.array([complete_randomization(n, n1, substream(seed, key, _PURPOSE_ASSIGN, rep)).z
+                  for rep in reps_block]) for reps_block in _blocks(range(reps), n)))
 
     scale_rmse = math.sqrt(ov.sigma_cre2 / n)
     scale_bias = math.sqrt(ov.sigma_hd2 / n)
     metrics: dict[str, EstimatorMetrics] = {}
     for e in ESTIMATORS:
         m = EstimatorMetrics()
-        p = pts[e]
-        if e in point_na or np.isnan(p).any():
-            m.point_na = point_na.get(e, "point estimate undefined in some replicate")
+        p = est[e]
+        if e in na or np.isnan(p).any():
+            m.point_na = na.get(e, "point estimate undefined in some replicate")
         else:
             err = p - tau_bar
             sq = err**2
@@ -225,24 +222,24 @@ def run_cell(
             m.rel_bias_se = float(err.std(ddof=1)) / math.sqrt(reps) / scale_bias
 
         vname = VARIANCE_PAIRING[e]
-        v = var[vname]
-        if m.point_na is not None or vname in var_na or np.isnan(v).any():
-            m.ci_na = m.point_na or var_na.get(vname, "variance undefined in some replicate")
+        v = est[vname]
+        if m.point_na is not None or vname in na or np.isnan(v).any():
+            m.ci_na = m.point_na or na.get(vname, "variance undefined in some replicate")
         else:
             half = np.sqrt(v / n) * _z_value(level)
-            cover = np.abs(pts[e] - tau_bar) <= half
+            cover = np.abs(p - tau_bar) <= half
             cov = float(cover.mean())
             m.coverage = cov
             m.coverage_se = math.sqrt(cov * (1.0 - cov) / reps)
             # the critical value cancels in the length ratio
-            ratio = np.sqrt(v) / np.sqrt(var["neyman"])
+            ratio = np.sqrt(v) / np.sqrt(est["neyman"])
             m.rel_ci_length = float(ratio.mean())
             m.rel_ci_length_se = float(ratio.std(ddof=1)) / math.sqrt(reps)
         metrics[e] = m
 
     return CellResult(
         cfg=cfg, reps=reps, seed=seed, level=level, tau_bar=tau_bar,
-        oracle=ov, metrics=metrics, clamped_count=clamped,
+        oracle=ov, metrics=metrics, clamped_count=int(est["cb_clamped"].sum()),
     )
 
 
@@ -333,26 +330,12 @@ def enumeration_check(table: ScienceTable, n1: int) -> EnumerationReport:
     n = table.hat.n
     if n1 < 2 or n - n1 < 2:
         raise ValueError(f"each arm needs at least 2 units, got n1={n1}, n0={n - n1}")
-    vals = {e: [] for e in ESTIMATORS}
-    ybar, cb = [], []
-    for asgs in _blocks(enumerate_assignments(n, n1), n):
-        z = np.array([asg.z for asg in asgs])
-        y = np.where(z, table.y1, table.y0)
-        forms = arm_forms(table.hat, y, z)
-        block = block_estimates(forms)
-        lin = [_lin_estimates(ObservedData(y=y_rep, assignment=asg, x=table.x, hat=table.hat),
-                              hc3=False)[0] for asg, y_rep in zip(asgs, y)]
-        for e in ("lin", "lin_db"):
-            block[e] = np.array([points.get(e, np.nan) for points in lin])
-        for e in ESTIMATORS:
-            vals[e].append(block[e])
-        ybar.append(forms.ybar)
-        cb.append(block["cb"])
-    ybar = np.concatenate(ybar)
+    est, _, ybar = _evaluate(table, (np.array([asg.z for asg in asgs]) for asgs in
+                                     _blocks(enumerate_assignments(n, n1), n)), hc3=False)
     mean = {}
     variance = {}
     for e in ESTIMATORS:
-        v = np.concatenate(vals[e])
+        v = est[e]
         if not np.isnan(v).any():  # NaN marks an assignment where e failed
             mean[e] = float(v.mean())
             variance[e] = float(v.var(ddof=0))
@@ -362,7 +345,7 @@ def enumeration_check(table: ScienceTable, n1: int) -> EnumerationReport:
         variance=variance,
         mean_ybar1=float(ybar[:, 0].mean()),
         mean_ybar0=float(ybar[:, 1].mean()),
-        mean_cb_variance=float(np.concatenate(cb).mean()),
+        mean_cb_variance=float(est["cb"].mean()),
     )
 
 

@@ -21,7 +21,7 @@ from scipy.linalg.blas import dtrsm
 from scipy.special import ndtri
 
 from .design import hat_forms
-from .estimators import ArmForms, LinFit, ObservedData, ScienceTable, lin_fit
+from .estimators import ArmForms, LinFit, ObservedData, ScienceTable
 from .finitepop import sample_variance, scaled_variance
 
 
@@ -285,20 +285,18 @@ def neyman_variance_unadj(data: ObservedData) -> float:
     return float(block_neyman(data.forms)[0])
 
 
-def hc3_variance(data: ObservedData, fit: LinFit | None = None) -> float:
+def hc3_variance(data: ObservedData, fit: LinFit) -> float:
     """HC3 sandwich variance paired with the arm-specific OLS estimator.
 
-    Uses the arm OLS residuals and pooled-centered, no-intercept arm
-    leverages lev_i = x_i'(sum_{j in arm} x_j x_j')^-1 x_i, x = X - Xbar;
-    the textbook intercept form 1/n_z + (arm-centered leverage) projects
-    onto a larger span, so it is never smaller.  That Gram is the fit's
-    arm-centered G = LL' plus n_z d d', d the arm mean of x, so with
-    c_i = L^-1 x_i and e = mean c_i, lev_i = |c_i|^2 - n_z (e'c_i)^2 /
-    (1 + n_z |e|^2).  Already on the per-n scale.  Raises LeverageOneError
-    when a leverage is within 1e-10 of 1.
+    Uses the arm OLS residuals of fit = lin_fit(data) and pooled-centered,
+    no-intercept arm leverages lev_i = x_i'(sum_{j in arm} x_j x_j')^-1 x_i,
+    x = X - Xbar; the textbook intercept form 1/n_z + (arm-centered
+    leverage) projects onto a larger span, so it is never smaller.  That
+    Gram is the fit's arm-centered G = LL' plus n_z d d', d the arm mean of
+    x, so with c_i = L^-1 x_i and e = mean c_i, lev_i = |c_i|^2 -
+    n_z (e'c_i)^2 / (1 + n_z |e|^2).  Already on the per-n scale.  Raises
+    LeverageOneError when a leverage is within 1e-10 of 1.
     """
-    if fit is None:
-        fit = lin_fit(data)
     n = data.assignment.n
     total = 0.0
     for arm, mask, resid, chol in ((1, data.z, fit.resid1, fit.chol1),

@@ -298,19 +298,19 @@ def _csv_text(rows, newline="\n"):
 
 
 @pytest.mark.parametrize("text, words", [
-    (_csv_text(_ROWS[:2] + ["abc,1,0.5"] + _ROWS[3:]), ""),
-    (_csv_text(_ROWS[:2] + [",1,0.5"] + _ROWS[3:]), ""),
-    (_csv_text(_ROWS[:2] + ["2,1"] + _ROWS[3:]), ""),
-    (_csv_text(_ROWS[:2] + ["2,1,0.5,"] + _ROWS[3:]), ""),
+    (_csv_text(_ROWS[:2] + ["abc,1,0.5"] + _ROWS[3:]), "data row 3"),
+    (_csv_text(_ROWS[:2] + [",1,0.5"] + _ROWS[3:]), "data row 3"),
+    (_csv_text(_ROWS[:2] + ["2,1"] + _ROWS[3:]), "data row 3"),
+    (_csv_text(_ROWS[:2] + ["2,1,0.5,"] + _ROWS[3:]), "data row 3"),
     (_csv_text(_ROWS[:2] + [""] + _ROWS[2:]), "blank line at data row 3"),
     (_csv_text(_ROWS[:2] + ["  "] + _ROWS[2:]), "blank line at data row 3"),
     (_csv_text(_ROWS) + "\n", "blank line at data row 7"),
     ("Y,Z,X_1\n", ""),
-    (_csv_text(_ROWS[:2] + ["2,1,0#5"] + _ROWS[3:]), ""),
-    (_csv_text(["1_0,1,2"] + _ROWS[1:]), ""),
+    (_csv_text(_ROWS[:2] + ["2,1,0#5"] + _ROWS[3:]), "data row 3"),
+    (_csv_text(["1_0,1,2"] + _ROWS[1:]), "data row 1"),
     # "\udcff" is written as the byte 0xff, which is not UTF-8
     (_csv_text(_ROWS).replace("X_1", "X_\udcff1"), ""),
-    (_csv_text(_ROWS[:2] + ["2,1,0.\udcff5"] + _ROWS[3:]), ""),
+    (_csv_text(_ROWS[:2] + ["2,1,0.\udcff5"] + _ROWS[3:]), "data row 3"),
 ], ids=["non-numeric", "empty-cell", "short-row", "trailing-comma", "blank-line",
         "whitespace-line", "blank-last-line", "header-only", "hash-in-cell", "underscore",
         "bad-utf8-header", "bad-utf8-cell"])

@@ -11,7 +11,7 @@ from randadj.design import (
     hat_forms,
     substream,
 )
-from randadj.estimators import ScienceTable, arm_forms, lin_fit, observe
+from randadj.estimators import ScienceTable, arm_forms, lin_fit, observe, tau_lin, tau_lin_db
 from randadj.finitepop import sample_variance, scaled_variance
 from randadj.inference import (
     LeverageOneError,
@@ -399,7 +399,7 @@ def test_hc3_p1_loop_oracle():
             lev = xc[i] ** 2 / gram
             acc += resid[k] ** 2 / (1.0 - lev) ** 2
         want += n / ((nz - 1) * nz) * acc
-    assert hc3_variance(data) == pytest.approx(want, rel=1e-11)
+    assert hc3_variance(data, fit) == pytest.approx(want, rel=1e-11)
 
 
 @pytest.mark.parametrize("p", [1, 3])
@@ -429,16 +429,58 @@ def test_hc3_pooled_gram_oracle(p):
     assert textbook >= got
 
 
+def _lin_reference(table, z):
+    """lin, lin_db and HC3 from lstsq per arm with an intercept, pooled
+    leverages from a solve on Xc'Xc, and HC3 leverages from a solve on the
+    explicit pooled-centred arm Gram."""
+    n = len(z)
+    y = np.where(z, table.y1, table.y0)
+    xbar = table.x.mean(axis=0)
+    xc = table.x - xbar
+    pooled = np.einsum("ij,ji->i", xc, np.linalg.solve(xc.T @ xc, xc.T))
+    nz = {1: int(z.sum()), 0: int((~z).sum())}
+    lin = corr = hc3 = 0.0
+    for arm, mask, sign in ((1, z, 1.0), (0, ~z, -1.0)):
+        design = np.column_stack([np.ones(nz[arm]), table.x[mask]])
+        coef = np.linalg.lstsq(design, y[mask], rcond=None)[0]
+        resid = y[mask] - design @ coef
+        lin += sign * (coef[0] + xbar @ coef[1:])
+        corr += sign * nz[1 - arm] / nz[arm] ** 2 * (pooled[mask] @ resid)
+        xa = xc[mask]
+        lev = np.einsum("ij,ji->i", xa, np.linalg.solve(xa.T @ xa, xa.T))
+        hc3 += n / ((nz[arm] - 1) * nz[arm]) * np.sum(resid**2 / (1.0 - lev) ** 2)
+    return lin, lin + corr, hc3
+
+
+# (n, n1, p): n1/n = 0.1 and 0.9 with p = n_z - 4, and p = 60 against n0 = 62
+@pytest.mark.parametrize("n, n1, p", [(200, 20, 16), (200, 180, 16), (200, 138, 60)])
+def test_lin_and_hc3_match_direct_reference(n, n1, p):
+    """The worst relative errors measured over these 9 assignments are
+    7.2e-13 for lin and lin_db and 3.8e-10 for HC3.  The HC3 worst is at
+    (200, 138, 60), where a control leverage is 1 - 5.3e-6: 1/(1 - lev)^2
+    there turns a leverage error of a few ulps (7.8e-16 against a QR
+    reference) into about 3e-10.  Elsewhere HC3 agrees to 2e-12."""
+    rng = substream(77, n, n1, p)
+    table = _random_table(rng, n, p)
+    for _ in range(3):
+        data = observe(table, complete_randomization(n, n1, rng))
+        fit = lin_fit(data)
+        lin, lin_db, hc3 = _lin_reference(table, data.z)
+        assert tau_lin(data, fit) == pytest.approx(lin, rel=1e-11)
+        assert tau_lin_db(data, fit) == pytest.approx(lin_db, rel=1e-11)
+        assert hc3_variance(data, fit) == pytest.approx(hc3, rel=1e-9)
+
+
 def test_hc3_homogeneous_in_outcome_scale():
     rng = substream(75)
     table = _random_table(rng, 20, 2)
     data = observe(table, complete_randomization(20, 9, rng))
-    base = hc3_variance(data)
+    base = hc3_variance(data, lin_fit(data))
     scaled_table = ScienceTable(
         y1=5.0 * table.y1, y0=5.0 * table.y0, x=table.x, hat=table.hat
     )
     scaled_data = observe(scaled_table, data.assignment)
-    assert hc3_variance(scaled_data) == pytest.approx(25.0 * base, rel=1e-10)
+    assert hc3_variance(scaled_data, lin_fit(scaled_data)) == pytest.approx(25.0 * base, rel=1e-10)
 
 
 def test_hc3_leverage_one_error_names_unit():
@@ -453,7 +495,7 @@ def test_hc3_leverage_one_error_names_unit():
     data = observe(table, Assignment(z=z, n=4, n1=2))
     # treated pooled-centered covariates are (1, 0): unit 0 has leverage 1
     with pytest.raises(LeverageOneError) as exc:
-        hc3_variance(data)
+        hc3_variance(data, lin_fit(data))
     assert exc.value.unit == 0
     assert "unit 0" in str(exc.value)
 

@@ -2,8 +2,9 @@
 
 harness.block_estimates evaluates unadj, hd_undb, hd, Neyman and cb for a
 block of assignments from one product of all its rows with H (and one with
-Q); the per-assignment functions are its blocks of one.  These tests check
-that batching changes nothing beyond rounding.
+Q), and lin, lin_db and HC3 from each row's arm fits; the per-assignment
+functions are its blocks of one.  These tests check that batching changes
+nothing beyond rounding, and the lin rows nothing at all.
 """
 
 import math
@@ -25,8 +26,11 @@ from randadj.estimators import (
     ScienceTable,
     arm_forms,
     debias_correction,
+    lin_fit,
     observe,
     tau_adj,
+    tau_lin,
+    tau_lin_db,
     tau_unadj,
 )
 from randadj.harness import (
@@ -37,8 +41,10 @@ from randadj.harness import (
     run_cell,
 )
 from randadj.inference import (
+    LeverageOneError,
     block_cb,
     estimate_variance,
+    hc3_variance,
     neyman_variance_unadj,
 )
 from test_inference import CLAMP_TREATED, CLAMP_X, CLAMP_Y0, CLAMP_Y1
@@ -61,9 +67,10 @@ def _table(rng, n, p):
 
 
 def _block(table, assignments):
+    """The assignments' ArmForms, and block_estimates' values and NA reasons."""
     z = np.array([asg.z for asg in assignments])
     forms = arm_forms(table.hat, np.where(z, table.y1, table.y0), z)
-    return forms, block_estimates(forms)
+    return (forms, *block_estimates(forms))
 
 
 # (n, p, n1): 2-unit arms on either side, lin NA (n_z <= p), p near n
@@ -74,7 +81,7 @@ def test_block_matches_assignment_views(n, p, n1):
     rng = substream(8101, n, p, n1)
     table = _table(rng, n, p)
     assignments = [complete_randomization(n, n1, rng) for _ in range(13)]
-    forms, block = _block(table, assignments)
+    forms, block, _ = _block(table, assignments)
     cb = block_cb(forms)
     scale = float(np.abs(np.concatenate((table.y1, table.y0))).max())
     for r, asg in enumerate(assignments):
@@ -93,6 +100,17 @@ def test_block_matches_assignment_views(n, p, n1):
         for field in ("i1", "i2", "i3_upper", "i3_upper_prime", "i4", "hd", "hd_prime", "combined"):
             assert _close(getattr(cb, field)[r], getattr(est, field), scale**2), (field, r)
         assert cb.source[r] == est.source and cb.clamped[r] == est.clamped
+        try:
+            fit = lin_fit(data)
+        except ArmSingularError:
+            assert all(np.isnan(block[v][r]) for v in ("lin", "lin_db", "hc3")), r
+            continue
+        assert block["lin"][r] == tau_lin(data, fit), r
+        assert block["lin_db"][r] == tau_lin_db(data, fit), r
+        try:
+            assert block["hc3"][r] == hc3_variance(data, fit), r
+        except LeverageOneError:
+            assert np.isnan(block["hc3"][r]), r
 
 
 def test_block_counts_clamped_replicates():
@@ -101,13 +119,38 @@ def test_block_counts_clamped_replicates():
     table = ScienceTable(y1=np.array(CLAMP_Y1), y0=np.array(CLAMP_Y0), x=x,
                          hat=build_hat_structure(x))
     assignments = list(enumerate_assignments(8, 4))
-    _, block = _block(table, assignments)
+    _, block, _ = _block(table, assignments)
     clamped = [estimate_variance(observe(table, asg)).clamped for asg in assignments]
     assert block["cb_clamped"].tolist() == [float(c) for c in clamped]
     treated = [k for k, asg in enumerate(assignments)
                if np.flatnonzero(asg.z).tolist() == CLAMP_TREATED]
     assert block["cb_clamped"][treated[0]] == 1.0
     assert block["cb"][treated[0]] == 0.0
+
+
+def test_block_lin_rows_on_hand_instance():
+    """The 6 assignments of the hand instance of
+    test_inference.py::test_hc3_leverage_one_error_names_unit (n1 = 2) mix
+    two kinds of NA row: where lin is defined a leverage is 1, so HC3 alone
+    is NA; with treated {0, 3} or {1, 2} an arm's Gram is singular."""
+    x = np.array([[2.0], [1.0], [1.0], [0.0]])
+    table = ScienceTable(y1=np.array([1.0, 2.0, 0.0, 0.0]), y0=np.array([0.0, 0.0, 1.0, 2.0]),
+                         x=x, hat=build_hat_structure(x))
+    assignments = list(enumerate_assignments(4, 2))
+    treated = [tuple(np.flatnonzero(asg.z)) for asg in assignments]
+    _, block, na = _block(table, assignments)
+    singular = [t in ((0, 3), (1, 2)) for t in treated]
+    assert np.isnan(block["lin"]).tolist() == singular
+    assert np.isnan(block["lin_db"]).tolist() == singular
+    assert np.isnan(block["hc3"]).all()
+    for r, asg in enumerate(assignments):
+        if not singular[r]:
+            data = observe(table, asg)
+            assert block["lin"][r] == tau_lin(data)
+            assert block["lin_db"][r] == tau_lin_db(data)
+    assert "unit 0 in arm 1" in na["hc3"]
+    assert "arm 0 regression is singular" in na["lin"] and na["lin_db"] == na["lin"]
+    assert set(na) == {"lin", "lin_db", "hc3"}
 
 
 def test_one_unit_arm_views():
