@@ -71,6 +71,8 @@ class HatStructure:
     Fields
     ------
     xc : centered covariates, n x p
+    gram : pooled Gram xc'xc, p x p, from which the arm fits derive one
+        arm's Gram per assignment
     h : hat matrix (projection onto the centered column span), n x n
     leverages : diag(h)
     q : leverage interaction matrix Q
@@ -78,6 +80,7 @@ class HatStructure:
     """
 
     xc: np.ndarray
+    gram: np.ndarray
     h: np.ndarray
     leverages: np.ndarray
     q: np.ndarray
@@ -127,7 +130,7 @@ def build_hat_structure(X) -> HatStructure:
     q = h * h
     np.fill_diagonal(q, lev - lev**2)
 
-    return HatStructure(xc=xc, h=h, leverages=lev, q=q, alpha=p / n, n=n, p=p)
+    return HatStructure(xc=xc, gram=gram, h=h, leverages=lev, q=q, alpha=p / n, n=n, p=p)
 
 
 def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:

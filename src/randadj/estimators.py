@@ -191,8 +191,9 @@ def tau_db(data: ObservedData) -> float:
 @dataclass(frozen=True)
 class LinFit:
     """Arm-specific OLS fits: tau_lin and tau_lin_db, in-arm residuals (arm
-    order), and the arm-centered Grams' Cholesky factors, each with L in its
-    lower triangle."""
+    order), the arm-centered Grams' Cholesky factors, each with L in its
+    lower triangle, and each arm's rows of the pooled-centered covariates
+    hat.xc, gathered once for the fit and HC3."""
 
     tau: float
     tau_db: float
@@ -200,6 +201,56 @@ class LinFit:
     resid0: np.ndarray
     chol1: np.ndarray
     chol0: np.ndarray
+    x1: np.ndarray
+    x0: np.ndarray
+
+
+def _lin_row(hat: HatStructure, y: np.ndarray, z: np.ndarray) -> LinFit:
+    """lin_fit of the assignment z (boolean, length n) that observed y.
+
+    One Gram per assignment: the smaller arm's S = X_z'X_z of the pooled-
+    centered rows is formed, the other arm's is hat.gram - S, and as xc
+    sums to 0 the arms' covariate sums s are opposite.  Each is then
+    arm-centered, G_z = X_z'X_z - s d' with d = s / n_z the arm mean of xc.
+    """
+    p = hat.p
+    n1 = int(np.count_nonzero(z))
+    nz = (n1, hat.n - n1)
+    for arm, m in zip((1, 0), nz):
+        if m <= p:
+            raise ArmSingularError(arm, f"n_z = {m} <= p = {p}")
+    masks = (z, ~z)
+    xs = [hat.xc[mask] for mask in masks]
+    k = int(n1 > nz[1])  # the smaller arm's place in (arm 1, arm 0)
+    gram, total = xs[k].T @ xs[k], xs[k].sum(axis=0)
+    # the other arm's Gram is derived before either is centered in place
+    grams, sums = [gram, hat.gram - gram], [total, -total]
+    if k:
+        grams.reverse()
+        sums.reverse()
+    out = []
+    for arm, mask, xa, g, s, m in zip((1, 0), masks, xs, grams, sums, nz):
+        d = s / m
+        g -= s[:, None] * d
+        # LAPACK directly: scipy's cho_factor/cho_solve cost ~30 us a call at small p
+        chol, info = dpotrf(g, lower=1)
+        if info:
+            raise ArmSingularError(
+                arm, f"{info}-th leading minor of the array is not positive definite")
+        ya = y[mask]
+        ybar = ya.sum() / m
+        yc = ya - ybar
+        # yc sums to 0, so X_z'yc is the arm-centered cross product
+        beta = dpotrs(chol, xa.T @ yc, lower=1)[0]
+        db = d @ beta
+        # the arm's mean of Y_i - beta'(X_i - Xbar), with the pooled mean Xbar
+        out.append((ybar - db, yc - (xa @ beta - db), chol, hat.leverages[mask]))
+    (a1, e1, chol1, lev1), (a0, e0, chol0, lev0) = out
+    n0 = nz[1]
+    tau = float(a1 - a0)
+    corr = n0 / n1**2 * (lev1 @ e1) - n1 / n0**2 * (lev0 @ e0)
+    return LinFit(tau=tau, tau_db=tau + float(corr), resid1=e1, resid0=e0,
+                  chol1=chol1, chol0=chol0, x1=xs[0], x0=xs[1])
 
 
 def lin_fit(data: ObservedData) -> LinFit:
@@ -207,35 +258,13 @@ def lin_fit(data: ObservedData) -> LinFit:
 
     tau_db adds lin_db's correction, which weights the residuals by the
     pooled leverages: (n0/n1^2) sum_{treated} H_ii e_i(1) - (n1/n0^2)
-    sum_{control} H_ii e_i(0).  Raises ArmSingularError (naming the arm)
-    when an arm has n_z <= p or a numerically collinear centered covariate
+    sum_{control} H_ii e_i(0).  The arms' Grams come from one Gram of the
+    smaller arm and the pooled Gram hat.gram (see _lin_row).  Raises
+    ArmSingularError (naming the arm) when an arm has n_z <= p, checking
+    both arms' sizes first, or a numerically collinear centered covariate
     matrix.
     """
-    out = {}
-    p = data.hat.p
-    for arm, z in ((1, data.z), (0, ~data.z)):
-        nz = int(z.sum())
-        if nz <= p:
-            raise ArmSingularError(arm, f"n_z = {nz} <= p = {p}")
-        xa = data.hat.xc[z]
-        xbar = xa.mean(axis=0)
-        xa = xa - xbar
-        ya = data.y[z]
-        ybar = ya.mean()
-        yc = ya - ybar
-        # LAPACK directly: scipy's cho_factor/cho_solve cost ~30 us a call at small p
-        chol, info = dpotrf(xa.T @ xa, lower=1)
-        if info:
-            raise ArmSingularError(
-                arm, f"{info}-th leading minor of the array is not positive definite")
-        beta = dpotrs(chol, xa.T @ yc, lower=1)[0]
-        # the arm's mean of Y_i - beta'(X_i - Xbar), with the pooled mean Xbar
-        out[arm] = (ybar - xbar @ beta, yc - xa @ beta, chol, nz, data.hat.leverages[z])
-    (a1, e1, chol1, n1, lev1), (a0, e0, chol0, n0, lev0) = out[1], out[0]
-    tau = float(a1 - a0)
-    corr = n0 / n1**2 * (lev1 @ e1) - n1 / n0**2 * (lev0 @ e0)
-    return LinFit(tau=tau, tau_db=tau + float(corr), resid1=e1, resid0=e0,
-                  chol1=chol1, chol0=chol0)
+    return _lin_row(data.hat, data.y, data.z)
 
 
 def tau_lin(data: ObservedData, fit: LinFit | None = None) -> float:

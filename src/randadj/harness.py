@@ -27,25 +27,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Assignment, complete_randomization, enumerate_assignments, hat_forms, substream
+from .design import complete_randomization, enumerate_assignments, hat_forms, substream
 from .dgp import BaseTables, CellConfig, _PURPOSE_ASSIGN, build_cell, cell_key
 from .estimators import (
     ArmForms,
     ArmSingularError,
     ObservedData,
     ScienceTable,
+    _lin_row,
     arm_forms,
     block_adj,
     block_debias,
     block_unadj,
-    lin_fit,
 )
 from .inference import (
     LeverageOneError,
     OracleVariances,
+    _hc3_row,
     block_cb,
     block_neyman,
-    hc3_variance,
     oracle_variances,
     variance_components,
 )
@@ -125,13 +125,9 @@ def block_estimates(forms: ArmForms, hc3: bool = True) -> tuple[dict, dict]:
     lin_names = ("lin", "lin_db", "hc3") if hc3 else ("lin", "lin_db")
     out |= {name: np.full(len(forms.nz), np.nan) for name in lin_names}
     na: dict[str, str] = {}
-    hat = forms.hat
     for r, (y, z) in enumerate(zip(forms.y, forms.z)):
-        # the fits read the hat's centred covariates, so they stand in for x
-        data = ObservedData(y=y, assignment=Assignment(z=z, n=hat.n, n1=int(forms.nz[r, 0])),
-                            x=hat.xc, hat=hat)
         try:
-            fit = lin_fit(data)
+            fit = _lin_row(forms.hat, y, z)
         except ArmSingularError as err:
             for name in lin_names:
                 na.setdefault(name, str(err))
@@ -139,7 +135,7 @@ def block_estimates(forms: ArmForms, hc3: bool = True) -> tuple[dict, dict]:
         out["lin"][r], out["lin_db"][r] = fit.tau, fit.tau_db
         if hc3:
             try:
-                out["hc3"][r] = hc3_variance(data, fit)
+                out["hc3"][r] = _hc3_row(z, fit)
             except LeverageOneError as err:
                 na.setdefault("hc3", str(err))
     return out, na

@@ -184,6 +184,23 @@ def test_lin_fit_singular_arm_gram():
     assert exc.value.arm == 1
 
 
+@pytest.mark.parametrize("n1", [20, 30, 40])
+def test_lin_fit_one_gram_factors_match_direct(n1):
+    """The fit forms the smaller arm's Gram and takes the other as hat.gram
+    less it (n1 < n0, n1 = n0 and n1 > n0); each arm's LL' equals the
+    arm-centered Gram formed directly."""
+    table = _random_table(substream(52, n1), 60, 5)
+    hat = table.hat
+    np.testing.assert_array_equal(hat.gram, hat.xc.T @ hat.xc)
+    data = _assign(table, n1, substream(53, n1))
+    fit = lin_fit(data)
+    for z, chol in ((data.z, fit.chol1), (~data.z, fit.chol0)):
+        xa = hat.xc[z] - hat.xc[z].mean(axis=0)
+        direct = xa.T @ xa
+        low = np.tril(chol)
+        assert np.abs(low @ low.T - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
 @pytest.mark.parametrize("arm", [1, 0])
 def test_tau_adj_needs_two_units_per_arm(arm):
     rng = substream(51)

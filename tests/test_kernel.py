@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from randadj import harness
+from randadj import harness, inference
 from randadj.design import (
     Assignment,
     build_hat_structure,
@@ -218,3 +218,44 @@ def test_enumeration_check_matches_assignment_loop(monkeypatch, n, n1, p, rows):
         else:
             assert _close(report.mean[e], vals.mean()), e
             assert _close(report.variance[e], vals.var()), e
+
+
+def test_block_lin_rows_singular_on_derived_side():
+    """x = (1, 1, 1, 0, 2): the fit forms the smaller arm's Gram and derives
+    the other from the pooled one, and a singular derived Gram is caught
+    too.  Treated {3, 4} leaves control x = (1, 1, 1), whose derived Gram
+    is 2 - 2 = 0; treated {0, 1, 2} makes control the smaller arm, so the
+    treated Gram 2 - 2 = 0 is the derived one."""
+    x = np.array([[1.0], [1.0], [1.0], [0.0], [2.0]])
+    table = ScienceTable(y1=np.array([1.0, 0.5, 2.0, 0.0, 1.5]),
+                         y0=np.array([0.0, 1.0, 0.5, 2.0, 1.0]), x=x, hat=build_hat_structure(x))
+    for treated, arm in (((3, 4), 0), ((0, 1, 2), 1)):
+        z = np.isin(np.arange(5), treated)
+        with pytest.raises(ArmSingularError, match=f"arm {arm} regression is singular"):
+            lin_fit(observe(table, Assignment(z=z, n=5, n1=len(treated))))
+    assignments = list(enumerate_assignments(5, 2))
+    treated = [tuple(np.flatnonzero(asg.z)) for asg in assignments]
+    _, block, na = _block(table, assignments)
+    singular = [t in ((0, 1), (0, 2), (1, 2), (3, 4)) for t in treated]
+    assert np.isnan(block["lin"]).tolist() == singular
+    assert na["lin"].startswith("arm 1 regression is singular: 1-th leading minor")
+
+
+class _Called(Exception):
+    pass
+
+
+def _refuse(*args, **kwargs):
+    raise _Called
+
+
+def test_enumeration_pays_no_hc3_solve(monkeypatch):
+    n, n1, p = ENUM_SHAPES[2]
+    table = _table(substream(8105, n, n1, p), n, p)
+    want = enumeration_check(table, n1)
+    monkeypatch.setattr(inference, "dtrtri", _refuse)
+    monkeypatch.setattr(inference, "dtrmm", _refuse)
+    assert enumeration_check(table, n1) == want
+    assert "lin" in want.mean
+    with pytest.raises(_Called):
+        _block(table, list(enumerate_assignments(n, n1))[:3])
