@@ -418,6 +418,43 @@ def test_analyze_singular_arm_gram_gives_na_rows(capsys, tmp_path):
         assert "ci_low" in rows[e]
 
 
+def _analyze_rows(capsys, tmp_path, y, z, x):
+    in_path = tmp_path / "obs.csv"
+    header = ",".join(["Y", "Z"] + [f"X_{j}" for j in range(1, x.shape[1] + 1)])
+    in_path.write_text(header + "\n" + "".join(
+        f"{y[i]:.17g},{int(z[i])}," + ",".join(f"{v:.17g}" for v in x[i]) + "\n"
+        for i in range(len(y))))
+    out_path = tmp_path / "report.json"
+    code, _, err = _run(capsys, ["analyze", "--input", str(in_path), "--out", str(out_path)])
+    assert code == 0 and err == ""
+    return {r["estimator"]: r for r in json.loads(out_path.read_text())["estimates"]}
+
+
+def test_analyze_constant_outcome_gives_zero_estimates(capsys, tmp_path):
+    rng = substream(41)
+    z = np.zeros(12, dtype=bool)
+    z[rng.permutation(12)[:5]] = True
+    rows = _analyze_rows(capsys, tmp_path, np.full(12, 3.25), z, rng.standard_normal((12, 2)))
+    assert set(rows) == {"unadj", "hd", "hd_undb", "lin", "lin_db"}
+    for r in rows.values():
+        assert r["point"] == r["ci_low"] == r["ci_high"] == 0.0
+
+
+def test_analyze_two_unit_arm_at_p3_leaves_only_lin_na(capsys, tmp_path):
+    rng = substream(42)
+    z = np.zeros(10, dtype=bool)
+    z[[1, 6]] = True
+    rows = _analyze_rows(capsys, tmp_path, rng.standard_normal(10), z,
+                         rng.standard_normal((10, 3)))
+    for e in ("lin", "lin_db"):
+        assert rows[e] == {"estimator": e,
+                           "na": "arm 1 regression is singular: n_z = 2 <= p = 3"}
+    for e in ("unadj", "hd", "hd_undb"):
+        r = rows[e]
+        assert np.isfinite([r["point"], r["variance"]]).all()
+        assert r["ci_low"] < r["point"] < r["ci_high"]
+
+
 @pytest.mark.parametrize("p", [4, 5])
 def test_analyze_rejects_p_not_below_n(capsys, tmp_path, p):
     header = ",".join(["Y", "Z"] + [f"X_{j}" for j in range(1, p + 1)])

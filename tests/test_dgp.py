@@ -1,10 +1,15 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from scipy.special import stdtrit
 
 from randadj.design import build_hat_structure, substream
 from randadj.dgp import (
     CellConfig,
     DegenerateResidualError,
+    _open_uniform,
+    _t3_quantile,
     build_cell,
     cell_key,
     gen_base_tables,
@@ -64,6 +69,57 @@ def test_sample_t3_quartile():
     assert np.quantile(draws, 0.75) == pytest.approx(0.7648923284043453, abs=0.012)
     assert np.quantile(draws, 0.25) == pytest.approx(-0.7648923284043453, abs=0.012)
     assert np.median(draws) == pytest.approx(0.0, abs=0.01)
+
+
+#: (u, 40-digit t3 quantile at the double u): roots, in 80-digit mpmath, of
+#: the exact CDF 1/2 + (theta + sin theta cos theta) / pi, theta = arctan(t / sqrt 3)
+T3_REFERENCE = [
+    (0.5 * 2.0**-53, "-270823.8069996585672379062735031126492295"),
+    (1.5 * 2.0**-53, "-187778.7399424553394406886289954528821969"),
+    (0.25, "-0.7648923284043452806575452223324014640295"),
+    (0.75, "0.7648923284043452806575452223324014640295"),
+    # either side of where the tail solve hands over to the centre's
+    (0.09, "-1.741296568646955233434955918471721824398"),
+    (0.9, "1.637744353696210322185524104524245983109"),
+    (1 - 2.0**-53, "214952.9980625795287665203068697953721429"),
+    # scipy's stdtrit is 2.2e-11 and 9.0e-12 off at these two
+    (0.5 + 2.0**-20, "0.000002594660803180119611446457579230705847292"),
+    (0.5 - 2.0**-19, "-0.00000518932160638352981394785160456616306125"),
+]
+
+
+def test_t3_quantile_matches_40_digit_roots():
+    got = _t3_quantile(np.array([u for u, _ in T3_REFERENCE]))
+    for q, (u, want) in zip(got, T3_REFERENCE):
+        want = Fraction(want)
+        assert abs(Fraction(float(q)) - want) <= Fraction(1e-15) * abs(want), u
+
+
+def test_t3_quantile_on_lattice_draws():
+    u = np.sort(_open_uniform(substream(90), 100_000))
+    q = _t3_quantile(u)
+    assert np.all(np.diff(u) > 0) and np.all(np.diff(q) > 0)
+    # odd symmetry holds bit for bit wherever 1 - u is exact
+    exact = 1.0 - (1.0 - u) == u
+    assert exact.sum() > 40_000
+    assert np.array_equal(_t3_quantile(1.0 - u[exact]), -q[exact])
+    # stdtrit's own error near u = 1/2 sets this bound
+    np.testing.assert_allclose(q, stdtrit(3, u), rtol=2e-11, atol=0)
+
+
+class _LatticeEnds:
+    """Generator stub that draws the lattice's first and last integer."""
+
+    def integers(self, low, high, size):
+        return np.array([0, 2**53 - 1])
+
+
+def test_open_uniform_keeps_lattice_ends_inside_unit_interval():
+    u = _open_uniform(_LatticeEnds(), 2)
+    assert np.all((0.0 < u) & (u < 1.0))
+    assert u[0] == 0.5 * 2.0**-53 and u[1] == 1.0 - 2.0**-53
+    for sample in (sample_t3, sample_cauchy):
+        assert np.all(np.isfinite(sample(_LatticeEnds(), 2)))
 
 
 def test_sample_cauchy_iqr():
