@@ -28,7 +28,6 @@ import scipy
 
 from . import BLAS, __version__
 from .design import (
-    Assignment,
     EnumerationTooLargeError,
     SingularCovariatesError,
     build_hat_structure,
@@ -40,12 +39,12 @@ from .dgp import (
     DegenerateResidualError,
     gen_base_tables,
 )
-from .estimators import ArmSingularError, ObservedData
+from .estimators import ArmSingularError, arm_forms
 from .harness import (
     ESTIMATORS,
-    VARIANCE_PAIRING,
+    block_estimates,
     exact_checks,
-    replicate_estimates,
+    paired_estimates,
     results_to_csv,
     results_to_json,
     run_factorial,
@@ -78,14 +77,6 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
-
-#: keys allowed in a simulate config; excludes anything that cannot change
-#: the numbers (output paths, worker counts are separate)
-CONFIG_KEYS = (
-    "n", "r1", "seed", "reps", "level", "alphas", "deltas", "gammas",
-    "residuals", "covariate_dist", "rank_transform",
-)
-
 
 def default_config(full: bool = False) -> dict:
     """Desk-scale defaults; `full` switches to the large factorial."""
@@ -153,6 +144,10 @@ _CONFIG_TYPES = {
     "covariate_dist": (lambda v: isinstance(v, str), "a string"),
     "rank_transform": (lambda v: isinstance(v, bool), "true or false"),
 }
+
+#: keys allowed in a simulate config; excludes anything that cannot change
+#: the numbers (output paths, worker counts are separate)
+CONFIG_KEYS = tuple(_CONFIG_TYPES)
 
 
 def _validate_config(cfg: dict) -> None:
@@ -321,23 +316,22 @@ def cmd_analyze(args) -> int:
         raise ConfigError("--level must lie in (0, 1)")
     y, z, x = _read_observed_csv(args.input)
     n = y.shape[0]
-    hat = build_hat_structure(x)
-    asg = Assignment(z=z, n=n, n1=int(z.sum()))
     with np.errstate(over="raise", invalid="raise"):  # exit 3, not inf or nan estimates
-        points, variances, na = replicate_estimates(ObservedData(y=y, assignment=asg, x=x, hat=hat))
+        hat = build_hat_structure(x)
+        values, na = block_estimates(arm_forms(hat, y[None], z[None]))
 
     # a row carries `na` when its point is undefined, and `ci_na` when the
     # point is defined but its paired variance is not
     report = []
-    for e in ESTIMATORS:
-        vname = VARIANCE_PAIRING[e]
-        if e not in points:
-            report.append({"estimator": e, "na": na[e]})
-        elif vname not in variances:
-            report.append({"estimator": e, "point": points[e], "ci_na": na[vname]})
+    for e, points, variances, point_na, ci_na in paired_estimates(values, na):
+        point, variance = float(points[0]), float(variances[0])
+        if point_na is not None:
+            report.append({"estimator": e, "na": point_na})
+        elif ci_na is not None:
+            report.append({"estimator": e, "point": point, "ci_na": ci_na})
         else:
-            lo, hi = wald_ci(points[e], variances[vname], n, level)
-            report.append({"estimator": e, "point": points[e], "variance": variances[vname],
+            lo, hi = wald_ci(point, variance, n, level)
+            report.append({"estimator": e, "point": point, "variance": variance,
                            "ci_low": lo, "ci_high": hi, "level": level})
 
     for row in report:

@@ -111,6 +111,9 @@ def build_hat_structure(X) -> HatStructure:
     xc = X - X.mean(axis=0)
     gram = xc.T @ xc
     evals = np.linalg.eigvalsh(gram)
+    if evals[-1] <= 0:
+        raise SingularCovariatesError("centered covariate Gram is singular: "
+                                      "the centered covariates are all zero")
     if evals[0] <= 0 or evals[0] / evals[-1] < COND_EPS:
         raise SingularCovariatesError(
             f"centered covariate Gram is numerically singular: eigenvalue ratio "

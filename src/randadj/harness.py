@@ -26,13 +26,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .design import complete_randomization, enumerate_assignments, hat_forms, substream
 from .dgp import BaseTables, CellConfig, _PURPOSE_ASSIGN, build_cell, cell_key
 from .estimators import (
     ArmForms,
     ArmSingularError,
-    ObservedData,
     ScienceTable,
     _lin_row,
     arm_forms,
@@ -141,17 +141,22 @@ def block_estimates(forms: ArmForms, hc3: bool = True) -> tuple[dict, dict]:
     return out, na
 
 
-def replicate_estimates(data: ObservedData) -> tuple[dict, dict, dict]:
-    """Point estimates and paired variances for one realized assignment:
-    block_estimates of this assignment as a block of one.
-
-    Returns (points, variances, na_reasons); failed entries are absent
-    from the first two dicts and explained in the third.
-    """
-    values, na = block_estimates(data.forms)
-    defined = {name: float(v[0]) for name, v in values.items() if name not in na}
-    return ({name: v for name, v in defined.items() if name in ESTIMATORS},
-            {name: v for name, v in defined.items() if name not in ESTIMATORS}, na)
+def paired_estimates(values: dict, na: dict):
+    """For each name in ESTIMATORS, (name, points, variances, point_na,
+    ci_na): block_estimates' values of the point and of the variance that
+    VARIANCE_PAIRING pairs with it, and why the block's point, or else its
+    interval, is NA (None when defined).  The first NA reason of a name
+    comes first; NaN with no reason gets a fallback; an NA point makes its
+    interval NA too."""
+    for e in ESTIMATORS:
+        vname = VARIANCE_PAIRING[e]
+        points, variances = values[e], values[vname]
+        point_na = ci_na = None
+        if e in na or np.isnan(points).any():
+            point_na = na.get(e, "point estimate undefined in some replicate")
+        if point_na is not None or vname in na or np.isnan(variances).any():
+            ci_na = point_na or na.get(vname, "variance undefined in some replicate")
+        yield e, points, variances, point_na, ci_na
 
 
 def _evaluate(table: ScienceTable, z_blocks, hc3: bool = True):
@@ -200,13 +205,11 @@ def run_cell(
 
     scale_rmse = math.sqrt(ov.sigma_cre2 / n)
     scale_bias = math.sqrt(ov.sigma_hd2 / n)
+    z_crit = float(ndtri(1.0 - level / 2.0))
     metrics: dict[str, EstimatorMetrics] = {}
-    for e in ESTIMATORS:
-        m = EstimatorMetrics()
-        p = est[e]
-        if e in na or np.isnan(p).any():
-            m.point_na = na.get(e, "point estimate undefined in some replicate")
-        else:
+    for e, p, v, point_na, ci_na in paired_estimates(est, na):
+        m = EstimatorMetrics(point_na=point_na, ci_na=ci_na)
+        if point_na is None:
             err = p - tau_bar
             sq = err**2
             mse = float(sq.mean())
@@ -216,13 +219,8 @@ def run_cell(
             m.rel_rmse_se = (se_mse / (2.0 * rmse) / scale_rmse) if rmse > 0 else 0.0
             m.rel_bias = abs(float(err.mean())) / scale_bias
             m.rel_bias_se = float(err.std(ddof=1)) / math.sqrt(reps) / scale_bias
-
-        vname = VARIANCE_PAIRING[e]
-        v = est[vname]
-        if m.point_na is not None or vname in na or np.isnan(v).any():
-            m.ci_na = m.point_na or na.get(vname, "variance undefined in some replicate")
-        else:
-            half = np.sqrt(v / n) * _z_value(level)
+        if ci_na is None:
+            half = np.sqrt(v / n) * z_crit
             cover = np.abs(p - tau_bar) <= half
             cov = float(cover.mean())
             m.coverage = cov
@@ -237,12 +235,6 @@ def run_cell(
         cfg=cfg, reps=reps, seed=seed, level=level, tau_bar=tau_bar,
         oracle=ov, metrics=metrics, clamped_count=int(est["cb_clamped"].sum()),
     )
-
-
-def _z_value(level: float) -> float:
-    from scipy.special import ndtri
-
-    return float(ndtri(1.0 - level / 2.0))
 
 
 def _cells_task(args) -> list[CellResult]:

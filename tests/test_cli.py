@@ -418,12 +418,16 @@ def test_analyze_singular_arm_gram_gives_na_rows(capsys, tmp_path):
         assert "ci_low" in rows[e]
 
 
-def _analyze_rows(capsys, tmp_path, y, z, x):
-    in_path = tmp_path / "obs.csv"
+def _write_analyze_csv(path, y, z, x):
     header = ",".join(["Y", "Z"] + [f"X_{j}" for j in range(1, x.shape[1] + 1)])
-    in_path.write_text(header + "\n" + "".join(
+    path.write_text(header + "\n" + "".join(
         f"{y[i]:.17g},{int(z[i])}," + ",".join(f"{v:.17g}" for v in x[i]) + "\n"
         for i in range(len(y))))
+
+
+def _analyze_rows(capsys, tmp_path, y, z, x):
+    in_path = tmp_path / "obs.csv"
+    _write_analyze_csv(in_path, y, z, x)
     out_path = tmp_path / "report.json"
     code, _, err = _run(capsys, ["analyze", "--input", str(in_path), "--out", str(out_path)])
     assert code == 0 and err == ""
@@ -453,6 +457,46 @@ def test_analyze_two_unit_arm_at_p3_leaves_only_lin_na(capsys, tmp_path):
         r = rows[e]
         assert np.isfinite([r["point"], r["variance"]]).all()
         assert r["ci_low"] < r["point"] < r["ci_high"]
+
+
+@pytest.mark.parametrize("case", ["y_1e12", "cauchy_x"])
+def test_analyze_huge_outcomes_and_cauchy_covariates_stay_finite(capsys, tmp_path, case):
+    rng = substream(43)
+    z = np.zeros(60, dtype=bool)
+    z[rng.permutation(60)[:25]] = True
+    x = rng.standard_cauchy((60, 5)) if case == "cauchy_x" else rng.standard_normal((60, 5))
+    y = x @ rng.standard_normal(5) + rng.standard_normal(60) + 0.5 * z
+    if case == "y_1e12":
+        y = 1e12 * (1.0 + y)
+    rows = _analyze_rows(capsys, tmp_path, y, z, x)
+    assert set(rows) == {"unadj", "hd", "hd_undb", "lin", "lin_db"}
+    for r in rows.values():
+        assert np.isfinite([r["point"], r["variance"], r["ci_low"], r["ci_high"]]).all()
+
+
+def _analyze_exit_3(capsys, tmp_path, x):
+    """analyze on covariates x that it refuses: the guard error of its one
+    stderr line."""
+    rng = substream(44)
+    in_path = tmp_path / "obs.csv"
+    _write_analyze_csv(in_path, rng.standard_normal(len(x)), np.arange(len(x)) % 2 == 0, x)
+    code, _, err = _run(capsys, ["analyze", "--input", str(in_path)])
+    assert code == 3
+    assert len(err.splitlines()) == 1
+    return json.loads(err)
+
+
+def test_analyze_all_constant_covariates_exit_3(capsys, tmp_path):
+    msg = _analyze_exit_3(capsys, tmp_path, np.full((10, 1), 2.5))
+    assert msg["error"] == "SingularCovariatesError"
+    assert "all zero" in msg["message"] and "nan" not in msg["message"]
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+def test_analyze_covariates_too_large_for_their_gram_exit_3(capsys, tmp_path, scale):
+    x = scale * substream(45).standard_normal((10, 2))
+    msg = _analyze_exit_3(capsys, tmp_path, x)
+    assert msg["error"] == "FloatingPointError" and "overflow" in msg["message"]
 
 
 @pytest.mark.parametrize("p", [4, 5])

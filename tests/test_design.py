@@ -108,6 +108,10 @@ def test_singular_covariates_rejected():
     x2 = np.column_stack([col, np.full(20, 3.0)])
     with pytest.raises(SingularCovariatesError):
         build_hat_structure(x2)
+    # every column constant: the centered Gram is all zeros, and no
+    # eigenvalue ratio (0/0) is formed
+    with pytest.raises(SingularCovariatesError, match="centered covariates are all zero"):
+        build_hat_structure(np.full((10, 1), 2.5))
 
 
 def test_shape_guards():

@@ -17,6 +17,7 @@ from randadj.harness import (
     enumeration_identity_checks,
     exact_checks,
     hat_invariant_checks,
+    paired_estimates,
     results_to_csv,
     results_to_json,
     run_cell,
@@ -63,6 +64,28 @@ def test_run_cell_na_isolation_when_lin_infeasible():
 def test_variance_pairing_covers_all_estimators():
     assert set(VARIANCE_PAIRING) == set(ESTIMATORS)
     assert set(VARIANCE_PAIRING.values()) == {"neyman", "cb", "hc3"}
+
+
+def test_paired_estimates_na_rules_on_a_hand_block():
+    nan = np.nan
+    values = {name: np.array(v) for name, v in {
+        "unadj": [0.5, nan], "hd": [1.0, 2.0], "hd_undb": [1.5, 2.5],
+        "lin": [nan, 1.0], "lin_db": [0.5, 1.0],
+        "neyman": [1.0, 1.0], "cb": [1.0, nan], "hc3": [nan, 2.0]}.items()}
+    na = {"lin": "arm 1 regression is singular", "hc3": "unit 3 has HC3 leverage 1"}
+    rows = list(paired_estimates(values, na))
+    assert [row[0] for row in rows] == list(ESTIMATORS)
+    for e, points, variances, _, _ in rows:
+        assert points is values[e] and variances is values[VARIANCE_PAIRING[e]]
+    got = {e: (point_na, ci_na) for e, _, _, point_na, ci_na in rows}
+    # no reason recorded: the fallbacks; an NA point makes its interval NA
+    assert got["unadj"] == ("point estimate undefined in some replicate",) * 2
+    for e in ("hd", "hd_undb"):
+        assert got[e] == (None, "variance undefined in some replicate")
+    # lin's own reason backs both, ahead of the hc3 reason
+    assert got["lin"] == ("arm 1 regression is singular",) * 2
+    # an hc3 NaN alone leaves the point defined
+    assert got["lin_db"] == (None, "unit 3 has HC3 leverage 1")
 
 
 def test_run_factorial_order_and_worker_independence(tmp_path):

@@ -37,7 +37,6 @@ from randadj.harness import (
     ESTIMATORS,
     block_estimates,
     enumeration_check,
-    replicate_estimates,
     run_cell,
 )
 from randadj.inference import (
@@ -86,11 +85,11 @@ def test_block_matches_assignment_views(n, p, n1):
     scale = float(np.abs(np.concatenate((table.y1, table.y0))).max())
     for r, asg in enumerate(assignments):
         data = observe(table, asg)
-        points, variances, na = replicate_estimates(data)
+        one, na = block_estimates(data.forms)
         for e in ("unadj", "hd_undb", "hd"):
-            assert _close(block[e][r], points[e], scale), (e, r)
+            assert _close(block[e][r], one[e][0], scale), (e, r)
         for v in ("neyman", "cb", "cb_clamped"):
-            assert _close(block[v][r], variances[v], scale**2), (v, r)
+            assert _close(block[v][r], one[v][0], scale**2), (v, r)
         assert ("lin" in na) == (min(n1, n - n1) <= p)
         assert _close(block["unadj"][r], tau_unadj(data), scale)
         assert _close(block["hd_undb"][r], tau_adj(data), scale)
@@ -184,18 +183,17 @@ def test_run_cell_does_not_depend_on_block_size(monkeypatch, alpha):
 
 
 def _loop_report(table, n1):
-    """enumeration_check's moments from one replicate_estimates call per
-    assignment."""
+    """enumeration_check's moments from one block of one per assignment."""
     draws = {e: [] for e in ESTIMATORS}
     ybar1, ybar0, cb = [], [], []
     for asg in enumerate_assignments(table.hat.n, n1):
         data = observe(table, asg)
-        points, variances, _ = replicate_estimates(data)
+        one, _ = block_estimates(data.forms)
         for e in ESTIMATORS:
-            draws[e].append(points.get(e, np.nan))
+            draws[e].append(float(one[e][0]))
         ybar1.append(data.y[asg.z].mean())
         ybar0.append(data.y[~asg.z].mean())
-        cb.append(variances["cb"])
+        cb.append(float(one["cb"][0]))
     return draws, ybar1, ybar0, cb
 
 

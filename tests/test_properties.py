@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randadj.design import Assignment, build_hat_structure
-from randadj.estimators import ObservedData
-from randadj.harness import replicate_estimates
+from randadj.design import build_hat_structure
+from randadj.estimators import arm_forms
+from randadj.harness import ESTIMATORS, block_estimates
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -32,9 +32,12 @@ def experiments(draw):
 
 
 def _estimates(y, z, x):
-    data = ObservedData(y=y, assignment=Assignment(z=z, n=len(z), n1=int(z.sum())),
-                        x=x, hat=build_hat_structure(x))
-    return replicate_estimates(data)
+    """(points, variances, NA reasons) of the experiment as a block of one,
+    each dict without the names that are NA."""
+    values, na = block_estimates(arm_forms(build_hat_structure(x), y[None], z[None]))
+    defined = {name: float(v[0]) for name, v in values.items() if name not in na}
+    points = {e: defined.pop(e) for e in ESTIMATORS if e in defined}
+    return points, defined, na
 
 
 @PROPERTY_SETTINGS
