@@ -53,7 +53,6 @@ from .harness import (
 from .inference import (
     EfficiencyBounds,
     OracleVariances,
-    ResidualSet,
     VarianceEstimate,
     efficiency_bounds,
     estimate_variance,
@@ -61,7 +60,6 @@ from .inference import (
     necessary_bound,
     neyman_variance_unadj,
     oracle_variances,
-    residuals,
     rl2_curve,
     variance_components,
     wald_ci,

@@ -494,7 +494,6 @@ def _random_instance(rng, n: int, p: int) -> ScienceTable:
 def algebraic_identity_checks(seed: int = 0, instances: int = 10) -> list[CheckOutcome]:
     """Random-instance identities linking the variance representations."""
     from .finitepop import sample_variance, scaled_variance
-    from .inference import residuals as residual_sets
 
     rng = substream(seed, 7001)
     worst = {
@@ -513,12 +512,12 @@ def algebraic_identity_checks(seed: int = 0, instances: int = 10) -> list[CheckO
         table = _random_instance(rng, n, p)
         ov = oracle_variances(table, r1)
 
-        # full B forms over the population-centred rows v, a + b, a and b
-        a, b = table.y1, table.y0
-        rows = np.vstack((a / r1 + b / r0, a + b, a, b))
-        hollow_b, diag_b = hat_forms(table.hat, rows - rows.mean(axis=1, keepdims=True))[2]
-        s2_b = (hollow_b + diag_b) / (n - 1)
-        rhs = r1 * r0 * s2_b[0, 0]
+        # the oracle's B forms against the Neyman form of the explicit
+        # debiased residuals M yc = (I - H) yc + (lev * yc - mean), from H
+        h, lev = table.hat.h, table.hat.leverages
+        yc = np.vstack((table.y1 - table.y1.mean(), table.y0 - table.y0.mean()))
+        d1, d0 = yc - yc @ h + lev * yc - (lev * yc).mean(axis=1, keepdims=True)
+        rhs = sample_variance(d1) / r1 + sample_variance(d0) / r0 - sample_variance(d1 - d0)
         worst["rewrite-linear-variance"] = max(
             worst["rewrite-linear-variance"],
             abs(ov.sigma_hd_l2 - rhs) / max(1.0, abs(ov.sigma_hd_l2)))
@@ -528,14 +527,18 @@ def algebraic_identity_checks(seed: int = 0, instances: int = 10) -> list[CheckO
             worst["component-partition"],
             abs(sum(comps) - ov.sigma_hd2) / max(1.0, abs(ov.sigma_hd2)))
 
-        lhs2 = s2_b[1, 1]
-        rhs2 = s2_b[2, 2] + s2_b[3, 3] + 2 * s2_b[2, 3]
+        # full B forms over the population-centred rows a + b, a and b
+        hollow_b, diag_b = hat_forms(table.hat, np.vstack((yc.sum(axis=0), yc)))[2]
+        s2_b = (hollow_b + diag_b) / (n - 1)
+        lhs2 = s2_b[0, 0]
+        rhs2 = s2_b[1, 1] + s2_b[2, 2] + 2 * s2_b[1, 2]
         worst["quadratic-expansion"] = max(
             worst["quadratic-expansion"], abs(lhs2 - rhs2) / max(1.0, abs(lhs2)))
 
+        # tau_e = (I - H)(tau - taubar), the effects' projection residual
         tau = table.y1 - table.y0
-        res = residual_sets(table)
-        rhs3 = scaled_variance(table.hat.h, tau) + sample_variance(res.tau_e)
+        tc = yc[0] - yc[1]
+        rhs3 = scaled_variance(h, tau) + sample_variance(tc - h @ tc)
         worst["residual-pythagoras"] = max(
             worst["residual-pythagoras"],
             abs(sample_variance(tau) - rhs3) / max(1.0, abs(sample_variance(tau))))

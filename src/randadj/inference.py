@@ -7,9 +7,10 @@ paired with a point estimate tau yields the interval
 
 Oracle quantities (computable only from a full potential-outcome table)
 live alongside their sample counterparts, block_cb's components over a
-block of realized experiments; both read the H, Q and B forms of
-design.hat_forms and share one decomposition, so tests can compare them
-term by term.
+block of realized experiments.  Both read the H, Q and B forms of
+design.hat_forms: the oracles over the two centred potential-outcome rows,
+block_cb over each assignment's observed rows.  They share one
+decomposition, so tests can compare them term by term.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from scipy.special import ndtri
 
 from .design import hat_forms
 from .estimators import ArmForms, LinFit, ObservedData, ScienceTable
-from .finitepop import sample_variance, scaled_variance
+from .finitepop import sample_variance
 
 
 class LeverageOneError(ValueError):
@@ -38,41 +39,8 @@ class LeverageOneError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# residual decompositions and oracle variances
+# oracle variances from the population moment forms
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ResidualSet:
-    """Projection residuals e(z), leverage deviations s(z), and contrasts."""
-
-    e1: np.ndarray
-    e0: np.ndarray
-    s1: np.ndarray
-    s0: np.ndarray
-
-    @property
-    def tau_e(self) -> np.ndarray:
-        return self.e1 - self.e0
-
-
-def residuals(table: ScienceTable) -> ResidualSet:
-    """Decompose each potential-outcome vector against the hat matrix.
-
-    e(z) = (I - H)(Y(z) - Ybar(z)) is the part regression adjustment
-    removes; s(z) is the centered leverage-weighted deviation
-    H_ii (Y_i(z) - Ybar(z)) - mean thereof, which drives the extra
-    variability of the debiasing correction.
-    """
-    h = table.hat.h
-    lev = table.hat.leverages
-    out = {}
-    for arm, y in ((1, table.y1), (0, table.y0)):
-        yc = y - y.mean()
-        e = yc - h @ yc
-        sv = lev * yc
-        out[arm] = (e, sv - sv.mean())
-    return ResidualSet(e1=out[1][0], e0=out[0][0], s1=out[1][1], s0=out[0][1])
-
 
 @dataclass(frozen=True)
 class OracleVariances:
@@ -87,14 +55,6 @@ class OracleVariances:
     s_tau2: float       # population variance of unit-level effects
 
 
-def _neyman_form(a1: np.ndarray, a0: np.ndarray, r1: float) -> float:
-    return (
-        sample_variance(a1) / r1
-        + sample_variance(a0) / (1.0 - r1)
-        - sample_variance(a1 - a0)
-    )
-
-
 def _check_r1(r1: float) -> float:
     r1 = float(r1)
     if not 0.0 < r1 < 1.0:
@@ -102,27 +62,53 @@ def _check_r1(r1: float) -> float:
     return r1
 
 
+def _population_forms(table: ScienceTable):
+    """The identity form u u' and the (hollow, diagonal) H, Q and B forms of
+    design.hat_forms over the rows u = (Y(1) - Ybar(1), Y(0) - Ybar(0)), each
+    divided by n - 1: entry [a, b] of a form is a finitepop scaled variance
+    (a = b) or covariance (a != b).
+    """
+    if not (np.all(np.isfinite(table.y1)) and np.all(np.isfinite(table.y0))):
+        raise ValueError("population vector contains non-finite entries")
+    u = np.vstack((table.y1 - table.y1.mean(), table.y0 - table.y0.mean()))
+    d = table.hat.n - 1
+    return u @ u.T / d, tuple((o / d, g / d) for o, g in hat_forms(table.hat, u))
+
+
 def oracle_variances(table: ScienceTable, r1: float) -> OracleVariances:
-    """All oracle variances for a completely randomized design with share r1."""
+    """All oracle variances for a completely randomized design with share r1.
+
+    Each is read from the population forms over (Y(1), Y(0)): with neyman(s)
+    = s00/r1 + s11/r0 - (s00 + s11 - 2 s01), the Neyman variance of a pair
+    of vectors whose covariance matrix is s,
+
+        sigma_cre2  = neyman(I),
+        sigma_adj2  = neyman(I - H)   (residuals (I - H) u, I - H idempotent),
+        sigma_hd_l2 = neyman(B)       (debiased residuals M u, B = M'M),
+        sigma_hd_q2 = (r1 r0)^2 w'Qw  for w = (1/r1^2, -1/r0^2).
+    """
     r1 = _check_r1(r1)
     r0 = 1.0 - r1
-    res = residuals(table)
-    sigma_cre2 = _neyman_form(table.y1, table.y0, r1)
-    sigma_adj2 = _neyman_form(res.e1, res.e0, r1)
-    sigma_hd_l2 = _neyman_form(res.e1 + res.s1, res.e0 + res.s0, r1)
-    w = table.y1 / r1**2 - table.y0 / r0**2
-    sigma_hd_q2 = (r1 * r0) ** 2 * scaled_variance(table.hat.q, w)
+    ident, ((oh, dh), (oq, dq), (ob, db)) = _population_forms(table)
+
+    def neyman(s):
+        return float(s[0, 0] / r1 + s[1, 1] / r0 - (s[0, 0] + s[1, 1] - 2.0 * s[0, 1]))
+
+    w = np.array((1.0 / r1**2, -1.0 / r0**2))
+    sigma_cre2 = neyman(ident)
+    sigma_adj2 = neyman(ident - oh - dh)
+    sigma_hd_l2 = neyman(ob + db)
+    sigma_hd_q2 = float((r1 * r0) ** 2 * (w @ (oq + dq) @ w))
     if sigma_cre2 <= 0:
         raise ValueError("difference-in-means variance is not positive")
-    r_squared = min(max(1.0 - sigma_adj2 / sigma_cre2, 0.0), 1.0)
     return OracleVariances(
         sigma_cre2=sigma_cre2,
         sigma_adj2=sigma_adj2,
         sigma_hd_l2=sigma_hd_l2,
         sigma_hd_q2=sigma_hd_q2,
         sigma_hd2=sigma_hd_l2 + sigma_hd_q2,
-        r_squared=r_squared,
-        s_tau2=sample_variance(table.y1 - table.y0),
+        r_squared=min(max(1.0 - sigma_adj2 / sigma_cre2, 0.0), 1.0),
+        s_tau2=float(ident[0, 0] + ident[1, 1] - 2.0 * ident[0, 1]),
     )
 
 
@@ -133,11 +119,7 @@ def variance_components(table: ScienceTable, r1: float) -> tuple[float, float, f
     """
     r1 = _check_r1(r1)
     r0 = 1.0 - r1
-    n = table.hat.n
-    # rows (y1, y0) centred at their population means; each form divided by
-    # n - 1 is a finitepop scaled variance (diagonal) or covariance ([0, 1])
-    u = np.vstack((table.y1 - table.y1.mean(), table.y0 - table.y0.mean()))
-    _, (oq, dq), (ob, db) = ((m / (n - 1) for m in pair) for pair in hat_forms(table.hat, u))
+    _, (_, (oq, dq), (ob, db)) = _population_forms(table)
     i1 = i2 = 0.0
     for k, rz in ((0, r1), (1, r0)):
         i1 += r1 * r0 * (r1 * r0 / rz**4 * dq[k, k] + db[k, k] / rz**2)

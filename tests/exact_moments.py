@@ -153,6 +153,17 @@ def dense_b(hat) -> np.ndarray:
     return np.diag(g * g) - np.outer(g, g) / hat.n - (np.add.outer(g, g) - 1.0) * hat.h
 
 
+def projection_residuals(hat, y) -> tuple[np.ndarray, np.ndarray]:
+    """(e, s) of one potential-outcome vector, as explicit vectors: the
+    projection residual e = yc - H yc and the centred leverage-weighted
+    deviation s = lev * yc - mean(lev * yc), for yc = y - ybar, so that
+    e + s = M yc.  randadj.inference reads these only through hat forms;
+    tests use the vectors as an independent reference."""
+    yc = _centered(y)
+    sv = hat.leverages * yc
+    return yc - hat.h @ yc, sv - sv.mean()
+
+
 def plugin_statistics(forms) -> dict[str, np.ndarray]:
     """The 15 plug-in statistics of a block of randadj.estimators.ArmForms,
     each a vector over its assignments, keyed as plugin_moment_means.

@@ -20,6 +20,7 @@ from exact_moments import (
     dense_b,
     plugin_moment_means,
     plugin_statistics,
+    projection_residuals,
     scaled_covariance,
     variance_estimate_means,
 )
@@ -38,7 +39,6 @@ from randadj.harness import enumeration_identity_checks, run_factorial
 from randadj.inference import (
     block_cb,
     oracle_variances,
-    residuals,
     variance_components,
 )
 
@@ -162,7 +162,8 @@ def _variance_limits(table, n1):
     """p/n -> 0 limits of E[hd] and E[hd_prime]: sigma_adj2 + S2(tau_e) and
     sigma_adj2 + S2(tau)."""
     ov = oracle_variances(table, n1 / table.hat.n)
-    return (ov.sigma_adj2 + sample_variance(residuals(table).tau_e),
+    (e1, _), (e0, _) = (projection_residuals(table.hat, y) for y in (table.y1, table.y0))
+    return (ov.sigma_adj2 + sample_variance(e1 - e0),
             ov.sigma_adj2 + ov.s_tau2)
 
 

@@ -499,6 +499,57 @@ def test_analyze_covariates_too_large_for_their_gram_exit_3(capsys, tmp_path, sc
     assert msg["error"] == "FloatingPointError" and "overflow" in msg["message"]
 
 
+@pytest.mark.parametrize("ratio, code", [(1.5e-12, 0), (7e-13, 3)])
+def test_analyze_gram_either_side_of_cond_eps(capsys, tmp_path, ratio, code):
+    """n=40, p=3 covariates whose centred Gram has eigenvalue ratio just above
+    and just below design.COND_EPS = 1e-12, after a round trip through %.17g."""
+    rng = substream(46)
+    a = rng.standard_normal((40, 3))
+    basis, _ = np.linalg.qr(a - a.mean(axis=0))
+    rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    x = basis @ np.diag([1.0, 1.0, np.sqrt(ratio)]) @ rotation + 3.0
+    in_path = tmp_path / "obs.csv"
+    _write_analyze_csv(in_path, rng.standard_normal(40), np.arange(40) % 2 == 0, x)
+    got, _, err = _run(capsys, ["analyze", "--input", str(in_path)])
+    assert got == code
+    if code == 0:
+        assert err == ""
+    else:
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "SingularCovariatesError"
+
+
+@pytest.mark.parametrize("gap, inside", [(1e-11, True), (1e-9, False)])
+def test_analyze_hc3_leverage_either_side_of_its_guard(capsys, tmp_path, gap, inside):
+    """Treated pooled-centred covariates (2, eps, -eps) give unit 0 the HC3
+    leverage 4 / (4 + 2 eps^2) = 1 - gap (to first order); _hc3_row refuses
+    leverages within 1e-10 of 1."""
+    eps = np.sqrt(2.0 * gap)
+    x = np.array([[2.0], [eps], [-eps], [-2.0], [1.0], [-1.0], [0.5], [-0.5]])
+    z = np.arange(8) < 3
+    y = np.array([1.0, 0.3, -0.2, 0.1, 0.7, -0.4, 0.2, 0.5])
+    rows = _analyze_rows(capsys, tmp_path, y, z, x)
+    if inside:
+        for e in ("lin", "lin_db"):
+            assert set(rows[e]) == {"estimator", "point", "ci_na"}
+            assert "unit 0 in arm 1" in rows[e]["ci_na"]
+        return
+    # numpy reference: in-arm OLS residuals over the no-intercept leverages
+    # of the pooled-centred covariate
+    xc = x[:, 0] - x[:, 0].mean()
+    want = 0.0
+    for arm in (z, ~z):
+        design = np.column_stack((np.ones(arm.sum()), xc[arm]))
+        resid = y[arm] - design @ np.linalg.lstsq(design, y[arm], rcond=None)[0]
+        lev = xc[arm] ** 2 / np.sum(xc[arm] ** 2)
+        want += 8 / ((arm.sum() - 1) * arm.sum()) * np.sum(resid**2 / (1.0 - lev) ** 2)
+    for e in ("lin", "lin_db"):
+        r = rows[e]
+        assert np.isfinite([r["ci_low"], r["ci_high"]]).all()
+        assert r["ci_low"] < r["point"] < r["ci_high"]
+        assert r["variance"] == pytest.approx(want, rel=1e-5)
+
+
 @pytest.mark.parametrize("p", [4, 5])
 def test_analyze_rejects_p_not_below_n(capsys, tmp_path, p):
     header = ",".join(["Y", "Z"] + [f"X_{j}" for j in range(1, p + 1)])

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from exact_moments import dense_b, plugin_statistics
+from exact_moments import dense_b, plugin_statistics, projection_residuals
+from hand_instances import CLAMP_TREATED, clamp_table
 from randadj.design import (
     Assignment,
     _hollow,
@@ -21,7 +22,6 @@ from randadj.inference import (
     necessary_bound,
     neyman_variance_unadj,
     oracle_variances,
-    residuals,
     rl2_curve,
     variance_components,
     wald_ci,
@@ -56,16 +56,16 @@ def test_sigma_cre_hand_value():
 def test_residual_decomposition():
     rng = substream(61)
     table = _random_table(rng, 30, 4)
-    res = residuals(table)
+    (e1, s1), (e0, _) = (projection_residuals(table.hat, y) for y in (table.y1, table.y0))
     xc = table.hat.xc
     # projection residuals are orthogonal to the centered covariates
-    np.testing.assert_allclose(xc.T @ res.e1, 0.0, atol=1e-9)
-    np.testing.assert_allclose(xc.T @ res.e0, 0.0, atol=1e-9)
-    assert res.e1.mean() == pytest.approx(0.0, abs=1e-10)
-    assert res.s1.mean() == pytest.approx(0.0, abs=1e-12)
+    np.testing.assert_allclose(xc.T @ e1, 0.0, atol=1e-9)
+    np.testing.assert_allclose(xc.T @ e0, 0.0, atol=1e-9)
+    assert e1.mean() == pytest.approx(0.0, abs=1e-10)
+    assert s1.mean() == pytest.approx(0.0, abs=1e-12)
     # Pythagoras: the effect variance splits along the projection
     tau = table.y1 - table.y0
-    want = scaled_variance(table.hat.h, tau) + sample_variance(res.tau_e)
+    want = scaled_variance(table.hat.h, tau) + sample_variance(e1 - e0)
     assert sample_variance(tau) == pytest.approx(want, rel=1e-10)
 
 
@@ -78,7 +78,7 @@ def test_oracle_variances_against_direct_formulas():
         table = _random_table(rng, n, p)
         ov = oracle_variances(table, r1)
         r0 = 1.0 - r1
-        res = residuals(table)
+        (e1, s1), (e0, s0) = (projection_residuals(table.hat, y) for y in (table.y1, table.y0))
 
         def neyman(a1, a0):
             return (
@@ -88,16 +88,26 @@ def test_oracle_variances_against_direct_formulas():
             )
 
         assert ov.sigma_cre2 == pytest.approx(neyman(table.y1, table.y0), rel=1e-10)
-        assert ov.sigma_adj2 == pytest.approx(neyman(res.e1, res.e0), rel=1e-10)
-        assert ov.sigma_hd_l2 == pytest.approx(
-            neyman(res.e1 + res.s1, res.e0 + res.s0), rel=1e-10
-        )
+        assert ov.sigma_adj2 == pytest.approx(neyman(e1, e0), rel=1e-10)
+        assert ov.sigma_hd_l2 == pytest.approx(neyman(e1 + s1, e0 + s0), rel=1e-10)
         w = table.y1 / r1**2 - table.y0 / r0**2
         assert ov.sigma_hd_q2 == pytest.approx(
             (r1 * r0) ** 2 * scaled_variance(table.hat.q, w), rel=1e-10
         )
         assert ov.sigma_hd2 == pytest.approx(ov.sigma_hd_l2 + ov.sigma_hd_q2, rel=1e-12)
         assert 0.0 <= ov.r_squared <= 1.0
+        assert all(type(v) is float for v in vars(ov).values())
+
+
+@pytest.mark.parametrize("oracle", [oracle_variances, variance_components])
+@pytest.mark.parametrize("arm, value", [(1, np.nan), (0, np.inf)])
+def test_oracles_refuse_non_finite_outcomes(oracle, arm, value):
+    table = _random_table(substream(65), 20, 2)
+    y = {1: table.y1.copy(), 0: table.y0.copy()}
+    y[arm][3] = value
+    bad = ScienceTable(y1=y[1], y0=y[0], x=table.x, hat=table.hat)
+    with pytest.raises(ValueError, match="non-finite"):
+        oracle(bad, 0.4)
 
 
 def test_linear_component_rewrites_as_b_weighted_variance():
@@ -326,24 +336,8 @@ def test_estimate_variance_wiring_and_min_rule():
     assert v.source == ("hd" if v.hd <= v.hd_prime else "hd_prime")
 
 
-# instance found by seeded search where both variants go negative
-CLAMP_X = [1.3193999951283466, 0.12984955820714128, 0.6856547984955702,
-           -0.857256736283214, 0.06136877453027201, 0.24449426824650627,
-           0.8449208635972639, 1.4838394877932772]
-CLAMP_Y1 = [-0.009969426355952174, -0.025141490318042265, -0.043308888115797604,
-            -0.0360836962551632, -0.05490503151186526, -0.06551144043528499,
-            -0.01127565779076707, -0.05666648382068107]
-CLAMP_Y0 = [0.034217188254345415, -0.06406719338877465, 0.05931791238447102,
-            -0.03896615836225436, -0.011492519040950736, -0.016030221798145537,
-            0.02658925413170587, 0.09721183988672161]
-CLAMP_TREATED = [1, 2, 5, 6]
-
-
 def test_estimate_variance_clamps_at_zero():
-    x = np.array(CLAMP_X)[:, None]
-    table = ScienceTable(
-        y1=np.array(CLAMP_Y1), y0=np.array(CLAMP_Y0), x=x, hat=build_hat_structure(x)
-    )
+    table = clamp_table()
     z = np.zeros(8, dtype=bool)
     z[CLAMP_TREATED] = True
     v = estimate_variance(observe(table, Assignment(z=z, n=8, n1=4)))

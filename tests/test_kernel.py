@@ -46,7 +46,7 @@ from randadj.inference import (
     hc3_variance,
     neyman_variance_unadj,
 )
-from test_inference import CLAMP_TREATED, CLAMP_X, CLAMP_Y0, CLAMP_Y1
+from hand_instances import CLAMP_TREATED, clamp_table
 
 REL = 1e-12
 
@@ -113,10 +113,8 @@ def test_block_matches_assignment_views(n, p, n1):
 
 
 def test_block_counts_clamped_replicates():
-    # the instance of test_inference.py where both cb variants go negative
-    x = np.array(CLAMP_X)[:, None]
-    table = ScienceTable(y1=np.array(CLAMP_Y1), y0=np.array(CLAMP_Y0), x=x,
-                         hat=build_hat_structure(x))
+    # the hand instance where both cb variants go negative
+    table = clamp_table()
     assignments = list(enumerate_assignments(8, 4))
     _, block, _ = _block(table, assignments)
     clamped = [estimate_variance(observe(table, asg)).clamped for asg in assignments]
