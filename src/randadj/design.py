@@ -16,8 +16,8 @@ Because PH = HP = H and H^2 = H, B has the closed form
     B_ij = (1 + D_i) (1 + D_j) (delta_ij - 1/n) - (1 + D_i + D_j) H_ij,
     B_ii = -(1 + 1/n) (1 + D_i)^2 + 3 (1 + D_i) - 1,
 
-so B is never formed: hat_forms evaluates the bilinear forms of H, Q and
-B over any set of rows from one product of those rows with H.
+so neither Q nor B is stored: hat_forms evaluates the bilinear forms of
+H, Q and B over any set of rows from H alone.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def substream(seed, *subkeys: int) -> np.random.Generator:
 class HatStructure:
     """Hat matrix of a covariate matrix together with derived quantities.
 
-    The bundle holds two n x n matrices, H and Q; B's forms come from H
+    The bundle holds one n x n matrix, H; the forms of Q and B come from it
     (see hat_forms).
 
     Fields
@@ -75,7 +75,6 @@ class HatStructure:
         arm's Gram per assignment
     h : hat matrix (projection onto the centered column span), n x n
     leverages : diag(h)
-    q : leverage interaction matrix Q
     alpha : covariate dimension ratio p/n
     """
 
@@ -83,7 +82,6 @@ class HatStructure:
     gram: np.ndarray
     h: np.ndarray
     leverages: np.ndarray
-    q: np.ndarray
     alpha: float
     n: int
     p: int
@@ -128,12 +126,7 @@ def build_hat_structure(X) -> HatStructure:
             f"{info}-th leading minor is not positive definite")
     c = dtrsm(1.0, chol, xc.T, lower=1)
     h = c.T @ c
-    lev = np.diag(h).copy()
-
-    q = h * h
-    np.fill_diagonal(q, lev - lev**2)
-
-    return HatStructure(xc=xc, gram=gram, h=h, leverages=lev, q=q, alpha=p / n, n=n, p=p)
+    return HatStructure(xc=xc, gram=gram, h=h, leverages=np.diag(h).copy(), alpha=p / n, n=n, p=p)
 
 
 def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -162,9 +155,10 @@ def hat_forms(hat: HatStructure, u: np.ndarray) -> tuple[tuple[np.ndarray, np.nd
     """(hollow, diagonal) bilinear forms of H, Q and B over the rows of u.
 
     Returns ((hollow_H, diag_H), (hollow_Q, diag_Q), (hollow_B, diag_B)),
-    each of shape (..., k, k) for u of shape (..., k, n), split as in
-    _hollow: a leading axis stacks blocks of rows (one per assignment, say),
-    and all their rows are multiplied by H, and by Q, in one product each.
+    split as in _hollow, for u of shape (..., k, n): a leading axis stacks
+    blocks of rows (one per assignment, say), all multiplied by H in one
+    product.  H's and B's forms are (..., k, k); Q's are (..., 2, 2), over the
+    first two rows of each block, from H.^2 and diag_H (Q_ii = H_ii - H_ii^2).
     B is never formed: with g = 1 + diag{H}, G = diag{g}, the product
     uh = u H and the Gram e = v v' of v = [u; G u] give
 
@@ -187,7 +181,9 @@ def hat_forms(hat: HatStructure, u: np.ndarray) -> tuple[tuple[np.ndarray, np.nd
     full_b = (e_gg - s[..., :, None] * (s[..., None, :] / n)
               - m_gu - np.swapaxes(m_gu, -1, -2) + full_h)
     diag_b = 3.0 * e_gu - e_uu - (1.0 + 1.0 / n) * e_gg
-    return (full_h - diag_h, diag_h), _hollow(hat.q, u), (full_b - diag_b, diag_b)
+    hollow_q, diag_hh = _hollow(hat.h * hat.h, u[..., :2, :])
+    q = (hollow_q, diag_h[..., :2, :2] - diag_hh)
+    return (full_h - diag_h, diag_h), q, (full_b - diag_b, diag_b)
 
 
 @dataclass(frozen=True)

@@ -102,11 +102,11 @@ class ArmForms:
     nz holds the arm sizes (n1, n0) and ybar the arm means (Ybar_1, Ybar_0),
     each R x 2, and u the rows (R, 3, n) = (u1, u0, z): u_z is Y_i - Ybar_z
     on arm z and 0 elsewhere, z the 0/1 treated indicator.  `forms` holds
-    hat_forms' (hollow, diagonal) pairs of H, Q and B over those rows, each
-    R x 3 x 3, made on first use from one product of all 3R rows with H and
-    one with Q.  Every H-based estimate of the block is a vector over it.
-    y and z are the observed outcomes and assignments that arm_forms was
-    given (R x n, not copied), which the arm-specific fits read row by row.
+    hat_forms' (hollow, diagonal) pairs of H, Q and B over those rows, R x 3 x 3
+    but Q's R x 2 x 2 over (u1, u0), made on first use from one product of the
+    3R rows with H and one of the 2R with H.^2.  Every H-based estimate of the
+    block is a vector over it.  y and z are the observed outcomes and the
+    assignments given to arm_forms (R x n, not copied), read by the arm fits.
     """
 
     hat: HatStructure

@@ -466,15 +466,19 @@ def hat_invariant_checks(hat, atol: float = 1e-10) -> list[CheckOutcome]:
     lev_ok = bool((lev >= -atol).all() and (lev <= 1 + atol).all())
     out.append(CheckOutcome("leverage-range", lev_ok,
                             f"min {lev.min():.6f}, max {lev.max():.6f}"))
-    q_expect = hat.h * hat.h
-    np.fill_diagonal(q_expect, lev - lev**2)
-    add("q-definition", float(np.abs(hat.q - q_expect).max()))
-    add("q-rowsum", float(np.abs(hat.q.sum(axis=1) - 2 * lev * (1 - lev)).max()))
-    # B's forms come from H alone; at u = I they are B's entries, which are
-    # compared with M'M for the map M = P - H + P diag{H} itself
-    pmat = np.eye(n) - np.full((n, n), 1.0 / n)
+    # Q's and B's forms come from H alone.  Q's [0, 1] form over rows (a, b)
+    # is a'Qb: over (e_i, e_j), a dense Q built from h; over (1, e_i), Q's row
+    # sums.  At u = I, B's forms are its entries: M'M for M = P - H + P diag{H}
+    eye, h_diag = np.eye(n), np.diag(hat.h)
+    q_dense = hat.h * hat.h
+    np.fill_diagonal(q_dense, h_diag - h_diag**2)
+    for name, a, want in (("q-definition", eye[:, None], q_dense),
+                          ("q-rowsum", np.ones(n), 2 * lev * (1 - lev))):
+        hollow_q, diag_q = hat_forms(hat, np.stack(np.broadcast_arrays(a, eye), axis=-2))[1]
+        add(name, float(np.abs((hollow_q + diag_q)[..., 0, 1] - want).max()))
+    pmat = eye - 1.0 / n
     m = pmat - hat.h + pmat @ np.diag(lev)
-    hollow_b, diag_b = hat_forms(hat, np.eye(n))[2]
+    hollow_b, diag_b = hat_forms(hat, eye)[2]
     add("b-gram", float(np.abs(hollow_b + diag_b - m.T @ m).max()))
     b_diag_closed = 1 - 1 / n + (1 - 2 / n) * lev - (1 + 1 / n) * lev**2
     add("b-diagonal-closed-form", float(np.abs(diag_b - np.diag(b_diag_closed)).max()))
@@ -548,7 +552,7 @@ def algebraic_identity_checks(seed: int = 0, instances: int = 10) -> list[CheckO
 
     bounds = {"hd-quadratic-nonnegative": 1e-10}
     return [
-        CheckOutcome(name, err <= bounds.get(name, 1e-8),
+        CheckOutcome(name, bool(err <= bounds.get(name, 1e-8)),
                      f"worst error {err:.3e}")
         for name, err in worst.items()
     ]

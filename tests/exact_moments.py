@@ -153,6 +153,16 @@ def dense_b(hat) -> np.ndarray:
     return np.diag(g * g) - np.outer(g, g) / hat.n - (np.add.outer(g, g) - 1.0) * hat.h
 
 
+def dense_q(hat) -> np.ndarray:
+    """The n x n matrix Q of randadj.design, from H alone: H.^2 off the
+    diagonal and Q_ii = H_ii - H_ii^2.  The package never forms Q; tests
+    compare its forms with this dense reference."""
+    h_diag = np.diag(hat.h)
+    q = hat.h * hat.h
+    np.fill_diagonal(q, h_diag - h_diag**2)
+    return q
+
+
 def projection_residuals(hat, y) -> tuple[np.ndarray, np.ndarray]:
     """(e, s) of one potential-outcome vector, as explicit vectors: the
     projection residual e = yc - H yc and the centred leverage-weighted
@@ -195,7 +205,7 @@ def plugin_moment_means(table, n1: int) -> dict[str, float]:
     y = {1: table.y1, 0: table.y0}
     size = {1: n1, 0: hat.n - n1}
     out = {}
-    for name, mat in (("H", hat.h), ("Q", hat.q), ("B", dense_b(hat))):
+    for name, mat in (("H", hat.h), ("Q", dense_q(hat)), ("B", dense_b(hat))):
         for z in (1, 0):
             out[f"diag {name} arm {z}"] = diag_quadratic_mean(np.diag(mat), y[z], size[z])
             out[f"hollow {name} arm {z}"] = offdiag_quadratic_mean(mat, y[z], size[z])

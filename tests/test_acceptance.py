@@ -18,6 +18,7 @@ import pytest
 
 from exact_moments import (
     dense_b,
+    dense_q,
     plugin_moment_means,
     plugin_statistics,
     projection_residuals,
@@ -100,6 +101,7 @@ def test_criterion_2_algebraic_identities():
         ov = oracle_variances(table, r1)
         r0 = 1.0 - r1
         b_mat = dense_b(hat)
+        q_mat = dense_q(hat)
 
         # (a) linear-part variance equals its Gram-form rewrite
         rewrite = r1 * r0 * scaled_variance(b_mat, y1 / r1 + y0 / r0)
@@ -124,13 +126,13 @@ def test_criterion_2_algebraic_identities():
             c1 * scaled_covariance(b_mat, a_vec, a_vec)
             + c2 * scaled_covariance(b_mat, b_vec, a_vec)))
         worst = max(worst, _rel_err(
-            scaled_covariance(b_mat + hat.q, a_vec, b_vec),
+            scaled_covariance(b_mat + q_mat, a_vec, b_vec),
             scaled_covariance(b_mat, a_vec, b_vec)
-            + scaled_covariance(hat.q, a_vec, b_vec)))
-        d_part = np.diag(np.diag(hat.q))
-        h_part = hat.q - d_part
+            + scaled_covariance(q_mat, a_vec, b_vec)))
+        d_part = np.diag(np.diag(q_mat))
+        h_part = q_mat - d_part
         worst = max(worst, _rel_err(
-            scaled_variance(hat.q, a_vec),
+            scaled_variance(q_mat, a_vec),
             scaled_variance(d_part, a_vec) + scaled_variance(h_part, a_vec)))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed < 30.0
@@ -394,7 +396,7 @@ def _plugin_targets(table):
     covariance, keyed as in exact_moments.plugin_moment_means."""
     y = {1: table.y1, 0: table.y0}
     targets = {}
-    for name, mat in (("H", table.hat.h), ("Q", table.hat.q), ("B", dense_b(table.hat))):
+    for name, mat in (("H", table.hat.h), ("Q", dense_q(table.hat)), ("B", dense_b(table.hat))):
         d_part = np.diag(np.diag(mat))
         h_part = mat - d_part
         for z in (1, 0):

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from exact_moments import dense_q
 from randadj.design import (
     EnumerationTooLargeError,
     SingularCovariatesError,
@@ -41,7 +43,7 @@ HAND_B = np.array(
 def test_hand_instance_h_q_b():
     hat = build_hat_structure(HAND_X)
     np.testing.assert_allclose(hat.h, HAND_H, atol=1e-14)
-    np.testing.assert_allclose(hat.q, HAND_Q, atol=1e-14)
+    np.testing.assert_allclose(dense_q(hat), HAND_Q, atol=1e-14)
     # B is never stored: its forms at u = I are its entries
     hollow_b, diag_b = hat_forms(hat, np.eye(3))[2]
     np.testing.assert_allclose(hollow_b + diag_b, HAND_B, atol=1e-13)
@@ -67,10 +69,19 @@ def test_projection_invariants_random():
         assert np.all(hat.leverages >= -1e-12)
         assert np.all(hat.leverages < 1.0)
         lev = hat.leverages
-        np.testing.assert_allclose(hat.q.sum(axis=1), 2 * lev * (1 - lev), atol=1e-9)
+        np.testing.assert_allclose(dense_q(hat).sum(axis=1), 2 * lev * (1 - lev), atol=1e-9)
         want_bdiag = 1 - 1 / n + (1 - 2 / n) * lev - (1 + 1 / n) * lev**2
         diag_b = hat_forms(hat, np.eye(n))[2][1]
         np.testing.assert_allclose(diag_b, np.diag(want_bdiag), atol=1e-9)
+
+
+def test_hat_structure_stores_one_n_by_n_matrix():
+    # Q and B have closed forms in H, so H is the only n x n field
+    n, p = 12, 3
+    hat = build_hat_structure(substream(22).standard_normal((n, p)))
+    square = [f.name for f in dataclasses.fields(hat)
+              if np.shape(getattr(hat, f.name)) == (n, n)]
+    assert square == ["h"]
 
 
 @pytest.mark.parametrize("p", [20, 100, 190])

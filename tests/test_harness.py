@@ -227,12 +227,18 @@ def test_hat_invariant_checks_pass_and_catch_corruption():
     assert all(o.passed for o in outcomes)
     names = [o.name for o in outcomes]
     assert "q-definition" in names and "b-diagonal-closed-form" in names
-    bad_q = hat.q.copy()
-    bad_q[0, 0] += 1e-3
-    corrupted = dataclasses.replace(hat, q=bad_q)
+    bad_lev = hat.leverages.copy()
+    bad_lev[0] += 1e-3
+    corrupted = dataclasses.replace(hat, leverages=bad_lev)
     bad_outcomes = {o.name: o.passed for o in hat_invariant_checks(corrupted)}
     assert bad_outcomes["q-definition"] is False
     assert bad_outcomes["hat-idempotent"] is True
+
+
+def test_exact_check_outcomes_dump_to_json():
+    outcomes = exact_checks(0)
+    assert all(type(o.passed) is bool for o in outcomes)
+    json.dumps([dataclasses.asdict(o) for o in outcomes])
 
 
 def test_identity_check_registries_all_green():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from exact_moments import dense_b, plugin_statistics, projection_residuals
+from exact_moments import dense_b, dense_q, plugin_statistics, projection_residuals
 from hand_instances import CLAMP_TREATED, clamp_table
 from randadj.design import (
     Assignment,
@@ -92,7 +92,7 @@ def test_oracle_variances_against_direct_formulas():
         assert ov.sigma_hd_l2 == pytest.approx(neyman(e1 + s1, e0 + s0), rel=1e-10)
         w = table.y1 / r1**2 - table.y0 / r0**2
         assert ov.sigma_hd_q2 == pytest.approx(
-            (r1 * r0) ** 2 * scaled_variance(table.hat.q, w), rel=1e-10
+            (r1 * r0) ** 2 * scaled_variance(dense_q(table.hat), w), rel=1e-10
         )
         assert ov.sigma_hd2 == pytest.approx(ov.sigma_hd_l2 + ov.sigma_hd_q2, rel=1e-12)
         assert 0.0 <= ov.r_squared <= 1.0
@@ -230,14 +230,22 @@ def test_hat_forms_match_dense_matrices(n):
     m_map = pmat - hat.h + pmat @ np.diag(hat.leverages)
     np.testing.assert_allclose(b_mat, m_map.T @ m_map, rtol=0, atol=1e-12)
 
-    u = rng.standard_normal((3, n))
-    u[1] *= rng.standard_t(3, size=n)
-    forms = hat_forms(hat, u)
-    for (hollow, diag), mat in zip(forms, (hat.h, hat.q, b_mat)):
-        d = np.diag(mat)
-        for got, want in ((hollow, u @ (mat - np.diag(d)) @ u.T), (diag, (u * d) @ u.T)):
-            err = np.abs(got - want).max() / np.abs(want).max()
-            assert err <= 1e-12
+    # a block of 4 assignments' rows (u1, u0, z), and the oracle's 2 rows:
+    # Q's forms cover only the first two rows of each
+    block = rng.standard_normal((4, 3, n))
+    block[:, 1] *= rng.standard_t(3, size=n)
+    for u in (block, block[0, :2]):
+        forms = hat_forms(hat, u)
+        lead, k = u.shape[:-2], u.shape[-2]
+        assert [f.shape for f in forms[0] + forms[1] + forms[2]] == (
+            [lead + (k, k)] * 2 + [lead + (2, 2)] * 2 + [lead + (k, k)] * 2)
+        for (hollow, diag), mat in zip(forms, (hat.h, dense_q(hat), b_mat)):
+            w = u[..., :hollow.shape[-1], :]
+            wt = np.swapaxes(w, -1, -2)
+            d = np.diag(mat)
+            for got, want in ((hollow, w @ (mat - np.diag(d)) @ wt), (diag, (w * d) @ wt)):
+                err = np.abs(got - want).max() / np.abs(want).max()
+                assert err <= 1e-12
 
 
 def _loop_diag(dmat, y, z_mask):
@@ -283,7 +291,7 @@ def test_sample_moments_match_loop_oracle_on_every_assignment():
     z = np.array([asg.z for asg in enumerate_assignments(n, 4)])
     y = np.where(z, table.y1, table.y0)
     stats = plugin_statistics(arm_forms(table.hat, y, z))
-    for name, dmat in (("H", table.hat.h), ("Q", table.hat.q), ("B", dense_b(table.hat))):
+    for name, dmat in (("H", table.hat.h), ("Q", dense_q(table.hat)), ("B", dense_b(table.hat))):
         hollow = dmat.copy()
         np.fill_diagonal(hollow, 0.0)
         for r, (zr, yr) in enumerate(zip(z, y)):
